@@ -8,13 +8,11 @@
 // Protocol: N jobs (2 maps + 1 reduce each) are submitted at t=0 with a
 // far-future earliest start, so nothing ever executes and the live set
 // stays constant at 3N tasks while epochs advance. Each epoch marks a
-// job window dirty via mark_dirty() and invokes reschedule():
-//   - per dirty fraction f: one cold epoch (model-cache miss: fresh
-//     build + SearchRoot replay) then repeated same-window epochs
-//     (cache hits — the steady state of a park-retry storm or a
-//     repeatedly re-solved hot region);
-//   - a rotating 10% window (every epoch a different region → every
-//     epoch a miss: the honest worst case of incremental mode);
+// job window dirty via mark_dirty() and invokes reschedule(), which
+// builds a fresh direct model with only the dirty jobs free:
+//   - one epoch per dirty fraction f;
+//   - a rotating 10% window (every epoch a different region), whose
+//     mean gives speedup_10pct;
 //   - a soak at 10% dirty for `soak-epochs` epochs.
 // The full-rebuild baseline re-solves all 3N tasks per epoch under
 // kAllUnstarted. It is measured twice: with the §V.D separation
@@ -93,8 +91,7 @@ double timed_epoch(MrcpRm& rm, Time* t, JobId begin, JobId end) {
 struct FractionResult {
   double fraction = 0.0;
   JobId dirty_jobs = 0;
-  double cold_s = 0.0;  ///< model-cache miss (fresh build + root)
-  double warm_s = 0.0;  ///< mean over cache-hit epochs
+  double epoch_s = 0.0;
 };
 
 }  // namespace
@@ -104,8 +101,7 @@ int main(int argc, char** argv) {
   flags.add_int("jobs", 10000, "live jobs (3 tasks each)")
       .add_int("resources", 100, "cluster size")
       .add_int("full-epochs", 3, "full-rebuild baseline epochs")
-      .add_int("warm-epochs", 3, "cache-hit epochs per fraction")
-      .add_int("rotating-epochs", 5, "rotating-window (cache-miss) epochs")
+      .add_int("rotating-epochs", 5, "rotating-window epochs")
       .add_int("soak-epochs", 20, "10%-dirty soak epochs")
       .add_string("out", "BENCH_epoch_scaling.json", "JSON output path");
   if (!flags.parse(argc, argv)) return flags.ok() ? 0 : 1;
@@ -113,7 +109,6 @@ int main(int argc, char** argv) {
   const int jobs = static_cast<int>(flags.get_int("jobs"));
   const int resources = static_cast<int>(flags.get_int("resources"));
   const int full_epochs = static_cast<int>(flags.get_int("full-epochs"));
-  const int warm_epochs = static_cast<int>(flags.get_int("warm-epochs"));
   const int rotating_epochs = static_cast<int>(flags.get_int("rotating-epochs"));
   const int soak_epochs = static_cast<int>(flags.get_int("soak-epochs"));
   MRCP_CHECK(jobs >= 100 && resources >= 1);
@@ -148,25 +143,17 @@ int main(int argc, char** argv) {
 
   const std::vector<double> fractions = {0.01, 0.05, 0.10, 0.25, 0.50, 1.00};
   std::vector<FractionResult> results;
-  double warm_10pct = 0.0;
   for (const double f : fractions) {
     FractionResult r;
     r.fraction = f;
     r.dirty_jobs = static_cast<JobId>(f * jobs);
-    r.cold_s = timed_epoch(rm, &t, 0, r.dirty_jobs);
-    double total = 0.0;
-    for (int e = 0; e < warm_epochs; ++e) {
-      total += timed_epoch(rm, &t, 0, r.dirty_jobs);
-    }
-    r.warm_s = total / static_cast<double>(warm_epochs);
-    if (f == 0.10) warm_10pct = r.warm_s;
-    std::printf("dirty %5.0f%% (%ld jobs): cold %.4fs  warm %.4fs\n", f * 100,
-                static_cast<long>(r.dirty_jobs), r.cold_s, r.warm_s);
+    r.epoch_s = timed_epoch(rm, &t, 0, r.dirty_jobs);
+    std::printf("dirty %5.0f%% (%ld jobs): %.4fs\n", f * 100,
+                static_cast<long>(r.dirty_jobs), r.epoch_s);
     results.push_back(r);
   }
 
-  // Rotating 10% window: a different region each epoch, so the model
-  // cache never hits — the honest steady-state miss cost.
+  // Rotating 10% window: a different region each epoch.
   const JobId window = static_cast<JobId>(jobs / 10);
   double rotating_total = 0.0;
   for (int e = 0; e < rotating_epochs; ++e) {
@@ -176,8 +163,7 @@ int main(int argc, char** argv) {
   }
   const double rotating_10pct_s =
       rotating_total / static_cast<double>(rotating_epochs);
-  std::printf("rotating 10%% (cache miss every epoch): %.4fs\n",
-              rotating_10pct_s);
+  std::printf("rotating 10%%: %.4fs\n", rotating_10pct_s);
 
   // Soak: sustained same-window 10%-dirty epochs at the full live size.
   double soak_total = 0.0;
@@ -194,12 +180,9 @@ int main(int argc, char** argv) {
   const MrcpStats& st = rm.stats();
   MRCP_CHECK_MSG(st.dirty_promotions == 0,
                  "dirty-set bookkeeping missed an event");
-  const double speedup_warm = warm_10pct > 0.0 ? full_rebuild_s / warm_10pct
-                                               : 0.0;
-  const double speedup_cold =
+  const double speedup =
       rotating_10pct_s > 0.0 ? full_rebuild_s / rotating_10pct_s : 0.0;
-  std::printf("speedup at 10%% dirty: warm %.1fx  cold/rotating %.1fx\n",
-              speedup_warm, speedup_cold);
+  std::printf("speedup at 10%% dirty: %.1fx\n", speedup);
 
   const std::string out = flags.get_string("out");
   FILE* fp = std::fopen(out.c_str(), "w");
@@ -218,9 +201,9 @@ int main(int argc, char** argv) {
     const FractionResult& r = results[i];
     std::fprintf(fp,
                  "    {\"fraction\": %.2f, \"dirty_jobs\": %ld, "
-                 "\"cold_s\": %.6f, \"warm_s\": %.6f}%s\n",
-                 r.fraction, static_cast<long>(r.dirty_jobs), r.cold_s,
-                 r.warm_s, i + 1 < results.size() ? "," : "");
+                 "\"epoch_s\": %.6f}%s\n",
+                 r.fraction, static_cast<long>(r.dirty_jobs), r.epoch_s,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(fp, "  ],\n");
   std::fprintf(fp, "  \"rotating_10pct_s\": %.6f,\n", rotating_10pct_s);
@@ -228,16 +211,9 @@ int main(int argc, char** argv) {
                "  \"soak\": {\"epochs\": %d, \"mean_s\": %.6f, "
                "\"max_s\": %.6f},\n",
                soak_epochs, soak_mean_s, soak_max);
-  std::fprintf(fp, "  \"model_cache_hits\": %llu,\n",
-               static_cast<unsigned long long>(st.model_cache_hits));
-  std::fprintf(fp, "  \"model_cache_misses\": %llu,\n",
-               static_cast<unsigned long long>(st.model_cache_misses));
-  std::fprintf(fp, "  \"warm_starts_used\": %llu,\n",
-               static_cast<unsigned long long>(st.warm_starts_used));
   std::fprintf(fp, "  \"dirty_promotions\": %llu,\n",
                static_cast<unsigned long long>(st.dirty_promotions));
-  std::fprintf(fp, "  \"speedup_10pct\": %.2f,\n", speedup_warm);
-  std::fprintf(fp, "  \"speedup_10pct_cold\": %.2f\n", speedup_cold);
+  std::fprintf(fp, "  \"speedup_10pct\": %.2f\n", speedup);
   std::fprintf(fp, "}\n");
   std::fclose(fp);
   std::printf("wrote %s\n", out.c_str());

@@ -27,8 +27,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -51,20 +49,14 @@ enum class ReplanScope {
   /// Paper Table 2: every task that has not *started* is re-mapped and
   /// re-scheduled for maximum flexibility.
   kAllUnstarted,
-  /// Low-overhead mode (a §VII "reduce scheduling times at high lambda"
-  /// mechanism): previously planned tasks keep their placement even if
-  /// not started; only newly arrived/released jobs are placed, into the
-  /// gaps of the frozen schedule. Cheaper solves, slightly worse P.
-  kNewJobsOnly,
   /// Incremental rescheduling (docs/incremental.md): the RM tracks the
   /// set of jobs touched since the last solve — arrivals, deferral and
   /// backpressure releases, fault-reset assignments, parked work — and
   /// re-solves only those against a frozen boundary of untouched
   /// assignments (the frozen-model machinery of the degradation ladder
-  /// promoted to the primary path). The CP model and its SearchRoot
-  /// persist across invocations and are reused whenever the live state
-  /// fingerprint recurs; per-invocation cost tracks the dirty set, not
-  /// the live set (bench/epoch_scaling.cpp).
+  /// promoted to the primary path). Each invocation builds a fresh direct
+  /// model in which only the dirty jobs' tasks are free, so the search
+  /// cost tracks the dirty set, not the live set (bench/epoch_scaling.cpp).
   kDirtyOnly,
 };
 
@@ -118,20 +110,6 @@ struct MrcpConfig {
   /// next_deferred_release(), in addition to the reschedule every repair
   /// event triggers anyway.
   Time park_retry_delay = seconds_to_ticks(std::int64_t{5});
-
-  // ---- Incremental mode (ReplanScope::kDirtyOnly; docs/incremental.md) ----
-
-  /// Keep the built CP model + SearchRoot across invocations and reuse
-  /// them when the live-state fingerprint is unchanged (park-retry
-  /// storms, repeated re-solves of the same dirty region). Off rebuilds
-  /// from scratch every invocation — the incremental-vs-full
-  /// differential tests compare the two for byte-identical plans.
-  bool reuse_model_cache = true;
-  /// Seed each incremental solve with the previous invocation's
-  /// assignments when they still satisfy every constraint (warm start:
-  /// the incumbent bound prunes descents; the solver never returns a
-  /// worse plan than the one it started from).
-  bool warm_start_previous = true;
 };
 
 struct MrcpStats {
@@ -153,9 +131,9 @@ struct MrcpStats {
   std::uint64_t jobs_parked = 0;         ///< job-epochs parked as unplaceable
   double solve_wall_seconds = 0.0;       ///< wall clock inside cp::solve
   // ---- Incremental mode (docs/incremental.md) ----
-  std::uint64_t model_cache_hits = 0;    ///< persistent model + root reused
-  std::uint64_t model_cache_misses = 0;  ///< incremental solves that rebuilt
-  std::uint64_t warm_starts_used = 0;    ///< solves seeded by the old plan
+  std::uint64_t model_cache_hits = 0;    ///< always 0, kept only for mrcpbench
+  std::uint64_t model_cache_misses = 0;  ///< always 0, kept only for mrcpbench
+  std::uint64_t warm_starts_used = 0;    ///< always 0, kept only for mrcpbench
   /// Clean jobs force-promoted to dirty by the collect-time safety net
   /// (an unstarted task without a live assignment on an up resource).
   /// Nonzero means the dirty-set bookkeeping missed an event — the audit
@@ -229,7 +207,7 @@ class MrcpRm {
 
   /// Serialize the RM's full mutable state — active/deferred/parked
   /// jobs, current plan, stats, degradation ledger, dirty set, fault
-  /// flags, model-cache fingerprint — as a versioned blob.
+  /// flags — as a versioned blob.
   std::string encode_state() const;
 
   /// Restore state captured by encode_state(). The RM must have been
@@ -263,8 +241,8 @@ class MrcpRm {
   void release_deferred(Time now);
   void sweep_completed(Time now);
   /// Live jobs for the CP model. `freeze_planned` additionally pins
-  /// planned-but-unstarted assignments (kNewJobsOnly semantics; also the
-  /// shrunk model of degraded-mode retries). With `dirty` non-null
+  /// planned-but-unstarted assignments (the shrunk model of degraded-mode
+  /// retries), demoting any whose predecessor is free. With `dirty` non-null
   /// (incremental mode) freezing is per job: jobs absent from `dirty`
   /// form the frozen boundary, dirty jobs are re-solved from free. A
   /// clean job that cannot be frozen soundly — an unstarted task with no
@@ -273,10 +251,6 @@ class MrcpRm {
   /// safety net, correct bookkeeping never needs it).
   std::vector<LiveJob> collect_live_jobs(Time now, bool freeze_planned,
                                          std::set<JobId>* dirty = nullptr);
-  /// Previous-plan warm start for an incremental solve: the old
-  /// assignments of every non-pinned task, when they are all present, on
-  /// up resources, and still satisfy the model. Invalid solution when not.
-  cp::Solution warm_start_from_assignments(const BuiltModel& built) const;
   /// Park jobs with a free task no *current* (post-failure) resource can
   /// host: their unstarted assignments are released and only their
   /// started tasks stay in `live` (they occupy real capacity). A task
@@ -307,7 +281,9 @@ class MrcpRm {
   Time park_retry_at_ = kNoTime; ///< next parked-work retry wakeup
   std::uint64_t degraded_streak_ = 0;  ///< consecutive degraded invocations
   /// Live-set changed since the last full solve (arrival, release,
-  /// failure, repair)? While degraded, an unchanged set lets
+  /// completion, failure, repair, mark_dirty)? Unlike dirty_jobs_ it is
+  /// also set by events that dirty no job: a completion, or a failure
+  /// that resets no assignment. While degraded, an unchanged set lets
   /// reschedule() republish instead of re-solving (backpressure
   /// short-circuit); on the healthy path (streak 0) it is never read.
   bool dirty_ = true;
@@ -321,15 +297,6 @@ class MrcpRm {
   /// mode; everything else is frozen boundary. Maintained in every
   /// scope so switching modes mid-run stays consistent.
   std::set<JobId> dirty_jobs_;
-  /// Persistent model + search root, reused while the live-state
-  /// fingerprint is unchanged. unique_ptr for address stability: the
-  /// SearchRoot holds a pointer into `built.model`.
-  struct ModelCacheEntry {
-    std::uint64_t fingerprint = 0;
-    BuiltModel built;
-    std::optional<cp::SearchRoot> root;
-  };
-  std::unique_ptr<ModelCacheEntry> model_cache_;
 
   /// Write-ahead journal; null (the default) disables all journaling.
   Journal* journal_ = nullptr;

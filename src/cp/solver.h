@@ -108,11 +108,10 @@ struct SolveResult {
 /// Solve the model. The model must pass Model::validate(). If
 /// `warm_start` is a valid solution for this model it seeds the bound.
 ///
-/// `shared_root` lets a caller that solves the same model repeatedly
-/// (the incremental resource manager re-solving a persistent model
-/// across plan epochs — docs/incremental.md) reuse one SearchRoot
+/// `shared_root` lets a caller that solves the same model repeatedly, or
+/// that times the root separately (mrcpbench), reuse one SearchRoot
 /// instead of replaying pins and re-deriving static state on every
-/// invocation. It must have been constructed for exactly this `model`
+/// call. It must have been constructed for exactly this `model`
 /// object (checked); nullptr builds a private root as before.
 SolveResult solve(const Model& model, const SolveParams& params,
                   const Solution* warm_start = nullptr,

@@ -259,16 +259,18 @@ TEST(DegradedMode, AllResourcesDownParksAndRecovers) {
 
 TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
   // r0 is map-only, so the reduce always lands on r1 and survives the
-  // r0 failure with its (now stale) planned start. The frozen-scope
-  // re-collection must demote it back to free rather than pin a reduce
-  // that would start before the killed map's re-run completes.
+  // r0 failure with its (now stale) planned start. The retry rungs'
+  // frozen re-collection must demote it back to free rather than pin a
+  // reduce that would start before the killed map's re-run completes.
   Cluster c;
   c.add_resource(1, 0);
   c.add_resource(1, 1);
-  MrcpConfig cfg;
-  cfg.validate_plans = true;  // aborts on a precedence-violating plan
-  cfg.solve.time_limit_s = 2.0;
-  cfg.replan_scope = ReplanScope::kNewJobsOnly;
+  // A nanosecond soft budget aborts every primary solve, while the
+  // invocation watchdog leaves room for the retry rung, which re-collects
+  // the live set with every planned assignment frozen.
+  MrcpConfig cfg = degraded_config();
+  cfg.solver_deadline_s = 10.0;
+  cfg.max_solve_retries = 1;
   MrcpRm rm(c, cfg);
 
   // Deadline forces the two maps in parallel across r0/r1.
@@ -282,6 +284,7 @@ TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
 
   rm.handle_resource_down(0, Time{50});
   const Plan& p2 = rm.reschedule(Time{50});
+  ASSERT_EQ(rm.ledger().records().back().attempts, 2) << "no retry rung ran";
   Time latest_map_end;
   const PlannedTask* reduce = nullptr;
   for (const PlannedTask& pt : p2.tasks) {

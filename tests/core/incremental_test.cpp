@@ -1,9 +1,8 @@
 // Incremental rescheduling (ReplanScope::kDirtyOnly, docs/incremental.md):
-// dirty-set bookkeeping, the empty-dirty fast path, the persistent
-// model/SearchRoot cache, warm starts, frozen-boundary soundness under
-// faults, parked-work re-entry, and randomized differentials pitting the
-// persistent-model path against scratch rebuilds for byte-identical
-// plans.
+// dirty-set bookkeeping, the empty-dirty fast path, frozen-boundary
+// soundness under faults, parked-work re-entry, and randomized event
+// streams that must complete with every plan validated and the
+// dirty-promotion safety net never firing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include "common/rng.h"
 #include "core/degradation.h"
 #include "core/mrcp_rm.h"
-#include "mapreduce/synthetic_workload.h"
 #include "sim/cluster_sim.h"
 
 #include "../test_util.h"
@@ -23,10 +21,9 @@ namespace {
 using testutil::make_job;
 using testutil::make_workload;
 
-MrcpConfig incremental_config(bool reuse_cache = true) {
+MrcpConfig incremental_config() {
   MrcpConfig cfg;
   cfg.replan_scope = ReplanScope::kDirtyOnly;
-  cfg.reuse_model_cache = reuse_cache;
   cfg.validate_plans = true;
   cfg.defer_future_jobs = false;
   cfg.solve.time_limit_s = 5.0;  // generous: no watchdog nondeterminism
@@ -107,29 +104,6 @@ TEST(Incremental, ArrivalResolvesOnlyTheNewJobAgainstFrozenBoundary) {
   EXPECT_EQ(rm.stats().dirty_promotions, 0u);
 }
 
-TEST(Incremental, RepeatedDirtyRegionHitsTheModelCacheAndWarmStarts) {
-  MrcpRm rm(Cluster::homogeneous(2, 2, 2), incremental_config());
-  rm.submit(make_job(0, Time{0}, Time{1'000}, Time{50'000}, {Time{100}, Time{100}}, {Time{80}}), Time{0});
-  rm.submit(make_job(1, Time{0}, Time{1'000}, Time{60'000}, {Time{100}}, {Time{80}}), Time{0});
-  const Plan p1 = rm.reschedule(Time{0});  // initial: everything dirty, cache miss
-
-  rm.mark_dirty(0);
-  const Plan p2 = rm.reschedule(Time{10});  // new fingerprint: miss
-  EXPECT_FALSE(rm.ledger().records().back().model_cache_hit);
-
-  rm.mark_dirty(0);
-  const Plan& p3 = rm.reschedule(Time{20});  // same dirty region again: hit
-  const InvocationRecord& rec = rm.ledger().records().back();
-  EXPECT_TRUE(rec.model_cache_hit);
-  EXPECT_EQ(rm.stats().model_cache_hits, 1u);
-  EXPECT_EQ(rm.stats().model_cache_misses, 2u);
-  EXPECT_GE(rm.stats().warm_starts_used, 1u);
-  // Warm-started re-solves of an unchanged region keep the plan stable.
-  EXPECT_TRUE(plans_equal(p2, p3));
-  EXPECT_TRUE(plans_equal(p1, p3));
-  EXPECT_EQ(rm.stats().dirty_promotions, 0u);
-}
-
 TEST(IncrementalDeathTest, MarkDirtyOfUnknownJobIsFatal) {
   MrcpRm rm(Cluster::homogeneous(1, 1, 1), incremental_config());
   EXPECT_DEATH(rm.mark_dirty(7), "non-active job");
@@ -141,8 +115,8 @@ TEST(Incremental, FaultDirtiesAffectedJobsAndReplansThemSoundly) {
   // r0 is map-only, so job 0's reduce lands on r1 and survives the r0
   // failure with a stale planned start. In kDirtyOnly mode the fault
   // dirties the whole job, so the reduce is re-solved — it must wait for
-  // the killed map's re-run (the kNewJobsOnly demotion fixpoint's job,
-  // handled here by per-job freezing).
+  // the killed map's re-run (per-job freezing does here what the demotion
+  // fixpoint does for the retry rungs' whole-model freeze).
   Cluster c;
   c.add_resource(1, 0);
   c.add_resource(1, 1);
@@ -208,7 +182,7 @@ TEST(Incremental, ParkedJobRejoinsTheDirtySetWhenItsResourceRecovers) {
   EXPECT_EQ(rm.stats().dirty_promotions, 0u);
 }
 
-// ---- Randomized differential: persistent model vs scratch rebuild ----
+// ---- Randomized event streams ----
 
 Job random_job(RandomStream& rng, JobId id, Time now) {
   const int maps = static_cast<int>(rng.uniform_int(1, 3));
@@ -224,41 +198,28 @@ Job random_job(RandomStream& rng, JobId id, Time now) {
   return make_job(id, now, earliest, deadline, map_durs, reduce_durs);
 }
 
-/// Drives two RMs through an identical randomized event stream —
-/// arrivals, failures, repairs, idle re-invocations — and requires
-/// byte-identical published plans after every invocation. `a` keeps the
-/// persistent model + SearchRoot; `b` rebuilds from scratch each epoch.
-void run_differential(std::uint64_t seed) {
+/// Drives one RM through a randomized event stream — arrivals, failures,
+/// repairs, idle re-invocations — with validate_plans re-checking every
+/// published plan, then drains it and requires every job to complete
+/// without the dirty-promotion safety net firing.
+void run_event_stream(std::uint64_t seed) {
   RandomStream rng(seed, 7);
   const int m = static_cast<int>(rng.uniform_int(2, 3));
-  const Cluster cluster = Cluster::homogeneous(m, 2, 2);
-  MrcpRm a(cluster, incremental_config(/*reuse_cache=*/true));
-  MrcpRm b(cluster, incremental_config(/*reuse_cache=*/false));
+  MrcpRm rm(Cluster::homogeneous(m, 2, 2), incremental_config());
 
   Time t;
   JobId next_id = 0;
   std::vector<bool> down(static_cast<std::size_t>(m), false);
-  auto submit_both = [&](const Job& job) {
-    a.submit(job, t);
-    b.submit(job, t);
-  };
-  auto reschedule_both = [&] {
-    const Plan& pa = a.reschedule(t);
-    const Plan& pb = b.reschedule(t);
-    ASSERT_EQ(pa.epoch, pb.epoch) << "seed " << seed;
-    ASSERT_TRUE(plans_equal(pa, pb)) << "seed " << seed << " at t=" << t;
-    ASSERT_EQ(a.next_deferred_release(), b.next_deferred_release());
-  };
 
-  submit_both(random_job(rng, next_id++, t));
-  submit_both(random_job(rng, next_id++, t));
-  reschedule_both();
+  rm.submit(random_job(rng, next_id++, t), t);
+  rm.submit(random_job(rng, next_id++, t), t);
+  rm.reschedule(t);
 
   for (int step = 0; step < 8; ++step) {
     t += Time{rng.uniform_int(1, 500)};
     switch (rng.uniform_int(0, 3)) {
       case 0:
-        submit_both(random_job(rng, next_id++, t));
+        rm.submit(random_job(rng, next_id++, t), t);
         break;
       case 1: {  // fail a random up resource
         std::vector<ResourceId> up;
@@ -271,8 +232,7 @@ void run_differential(std::uint64_t seed) {
         const ResourceId r = up[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(up.size()) - 1))];
         down[static_cast<std::size_t>(r)] = true;
-        a.handle_resource_down(r, t);
-        b.handle_resource_down(r, t);
+        rm.handle_resource_down(r, t);
         break;
       }
       case 2: {  // repair a random down resource
@@ -286,41 +246,36 @@ void run_differential(std::uint64_t seed) {
         const ResourceId r = downed[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(downed.size()) - 1))];
         down[static_cast<std::size_t>(r)] = false;
-        a.handle_resource_up(r, t);
-        b.handle_resource_up(r, t);
+        rm.handle_resource_up(r, t);
         break;
       }
-      default:  // pure re-invocation (fast path on both sides)
+      default:  // pure re-invocation (fast path)
         break;
     }
-    reschedule_both();
+    rm.reschedule(t);
   }
 
   // Drain: repair everything, then run far past every deadline.
   for (int r = 0; r < m; ++r) {
     if (down[static_cast<std::size_t>(r)]) {
-      a.handle_resource_up(static_cast<ResourceId>(r), t);
-      b.handle_resource_up(static_cast<ResourceId>(r), t);
+      rm.handle_resource_up(static_cast<ResourceId>(r), t);
     }
   }
-  reschedule_both();
+  rm.reschedule(t);
   // Two drain passes: the first releases any backpressure-deferred jobs
   // and plans them into its own future; the second sweeps them complete.
   t += Time{10'000'000};
-  reschedule_both();
+  rm.reschedule(t);
   t += Time{10'000'000};
-  reschedule_both();
-  ASSERT_EQ(a.stats().jobs_completed, a.stats().jobs_submitted);
-  ASSERT_EQ(b.stats().jobs_completed, a.stats().jobs_completed);
-  ASSERT_EQ(a.stats().dirty_promotions, 0u);
-  ASSERT_EQ(b.stats().dirty_promotions, 0u);
-  // The cached path must actually exercise the cache to be a differential.
-  ASSERT_EQ(b.stats().model_cache_hits, 0u);
+  rm.reschedule(t);
+  ASSERT_EQ(rm.stats().jobs_completed, rm.stats().jobs_submitted)
+      << "seed " << seed;
+  ASSERT_EQ(rm.stats().dirty_promotions, 0u) << "seed " << seed;
 }
 
-TEST(IncrementalDifferential, CacheOnVsCacheOffByteIdenticalOver500Seeds) {
+TEST(Incremental, RandomEventStreamsCompleteSoundlyOver500Seeds) {
   for (std::uint64_t seed = 0; seed < 500; ++seed) {
-    run_differential(seed);
+    run_event_stream(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -414,48 +369,6 @@ TEST(Incremental, DesParkedWorkRetriesWhileTheSimulatorIsIdle) {
     EXPECT_TRUE(metrics.records[0].completed());
     EXPECT_GE(metrics.degradation.parked, 2u)
         << "park retries never fired while idle";
-  }
-}
-
-TEST(Incremental, DesExecutionDifferentialCacheOnVsOffUnderFaults) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    SyntheticWorkloadConfig wc;
-    wc.num_jobs = 10;
-    wc.num_map_tasks = {1, 4};
-    wc.num_reduce_tasks = {1, 2};
-    wc.e_max = 5;
-    wc.arrival_rate = 0.05;
-    wc.num_resources = 4;
-    wc.deadline_multiplier_ul = 3.0;
-    wc.seed = seed;
-    const Workload w = generate_synthetic_workload(wc);
-
-    sim::SimOptions options;
-    options.validate_execution = true;
-    options.faults.mtbf_s = 60.0;
-    options.faults.mttr_s = 15.0;
-    options.faults.seed = seed + 100;
-
-    MrcpConfig on;
-    on.replan_scope = ReplanScope::kDirtyOnly;
-    on.validate_plans = true;
-    on.solve.improvement_fails = 200;
-    on.solve.lns_iterations = 2;
-    MrcpConfig off = on;
-    off.reuse_model_cache = false;
-
-    const sim::SimMetrics ma = sim::simulate_mrcp(w, on, options);
-    const sim::SimMetrics mb = sim::simulate_mrcp(w, off, options);
-    ASSERT_EQ(ma.executed.size(), mb.executed.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < ma.executed.size(); ++i) {
-      const sim::ExecutedTask& x = ma.executed[i];
-      const sim::ExecutedTask& y = mb.executed[i];
-      ASSERT_TRUE(x.job == y.job && x.task_index == y.task_index &&
-                  x.resource == y.resource && x.start == y.start &&
-                  x.end == y.end)
-          << "seed " << seed << " executed[" << i << "]";
-    }
-    ASSERT_EQ(ma.degradation.invocations(), mb.degradation.invocations());
   }
 }
 
