@@ -5,15 +5,20 @@
 // In addition to the google-benchmark suite, the binary always writes
 // BENCH_cp_micro.json (self-timed: profile query ns/op, solve wall-time
 // swept over {1, 2, 4, hw} worker threads on a small and an enlarged
-// workload, per-phase breakdown, and the parallel speedup on the
-// enlarged workload) so the perf trajectory of the hot path is tracked
-// in a machine-readable form. See docs/perf.md for how to read it.
+// workload, per-phase breakdown, the parallel speedup on the enlarged
+// workload, and the search's deterministic work counters) so the perf
+// trajectory of the hot path is tracked in a machine-readable form.
+// Every timing is the median, min and max of kRepetitions runs, next to
+// the host's thread count and load average. See docs/perf.md for how to
+// read it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -207,19 +212,56 @@ class MapProfileBaseline {
   std::map<Time, int> delta_;
 };
 
-/// Self-timed measurements for BENCH_cp_micro.json: median-of-3 runs,
-/// coarse but machine-comparable across commits.
-double best_of_seconds(int runs, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int i = 0; i < runs; ++i) {
+/// Self-timed measurements for BENCH_cp_micro.json: the median, min and
+/// max of kRepetitions runs (wall clock on a shared host is noisy; one
+/// best-of-3 figure is not evidence).
+constexpr int kRepetitions = 9;
+
+struct Timing {
+  double median_s = 0.0;
+  double min_s = 0.0;
+  double max_s = 0.0;
+};
+
+Timing time_repeated(const std::function<void()>& fn) {
+  std::vector<double> samples;
+  for (int i = 0; i < kRepetitions; ++i) {
     Stopwatch sw;
     fn();
-    best = std::min(best, sw.elapsed_seconds());
+    samples.push_back(sw.elapsed_seconds());
   }
-  return best;
+  std::sort(samples.begin(), samples.end());
+  return Timing{samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
+/// Writes `"key": median, "key_min": min, "key_max": max,` with every
+/// value multiplied by `scale` (e.g. seconds -> ns per op).
+void emit_timing(std::FILE* f, const std::string& key, const Timing& t,
+                 double scale, const char* fmt) {
+  const std::string line = "  \"%s\": " + std::string(fmt) + ",\n";
+  std::fprintf(f, line.c_str(), key.c_str(), t.median_s * scale);
+  std::fprintf(f, line.c_str(), (key + "_min").c_str(), t.min_s * scale);
+  std::fprintf(f, line.c_str(), (key + "_max").c_str(), t.max_s * scale);
+}
+
+/// Deterministic work counters of one solve (host-independent).
+void emit_counters(std::FILE* f, const std::string& prefix,
+                   const SolveStats& st) {
+  std::fprintf(f, "  \"%s_decisions\": %lld,\n", prefix.c_str(),
+               static_cast<long long>(st.decisions));
+  std::fprintf(f, "  \"%s_fails\": %lld,\n", prefix.c_str(),
+               static_cast<long long>(st.fails));
+  std::fprintf(f, "  \"%s_feasibility_queries\": %lld,\n", prefix.c_str(),
+               static_cast<long long>(st.feasibility_queries));
+  std::fprintf(f, "  \"%s_choice_builds\": %lld,\n", prefix.c_str(),
+               static_cast<long long>(st.choice_builds));
+  std::fprintf(f, "  \"%s_levels_expanded\": %lld,\n", prefix.c_str(),
+               static_cast<long long>(st.levels_expanded));
 }
 
 void write_bench_json(const char* path) {
+  double load_start[3] = {0.0, 0.0, 0.0};
+  const bool have_load = getloadavg(load_start, 3) == 3;
   // Profile query cost on a ~10k-event timetable (the earliest_feasible
   // shape the innermost search loop issues).
   constexpr int kIntervals = 5000;
@@ -241,7 +283,7 @@ void write_bench_json(const char* path) {
     }
   }
   Time sink;
-  const double query_s = best_of_seconds(3, [&] {
+  const Timing query_s = time_repeated([&] {
     Time q;
     for (int i = 0; i < kQueries; ++i) {
       q = (q + Time{7919}) % Time{100000};
@@ -250,14 +292,14 @@ void write_bench_json(const char* path) {
   });
   // Far fewer queries for the map baseline: each one is a linear scan.
   constexpr int kMapQueries = kQueries / 50;
-  const double map_query_s = best_of_seconds(3, [&] {
+  const Timing map_query_s = time_repeated([&] {
     Time q;
     for (int i = 0; i < kMapQueries; ++i) {
       q = (q + Time{7919}) % Time{100000};
       sink += pmap.earliest_feasible(q, Time{100}, 1);
     }
   });
-  const double add_remove_s = best_of_seconds(3, [&] {
+  const Timing add_remove_s = time_repeated([&] {
     RandomStream r2(1, 0);
     Profile q(64);
     std::vector<std::pair<Time, Time>> ivs;
@@ -267,7 +309,7 @@ void write_bench_json(const char* path) {
     }
     for (const auto& [s, d] : ivs) q.add(s, d, 1);
     for (const auto& [s, d] : ivs) q.remove(s, d, 1);
-    sink += static_cast<Time>(q.num_events());
+    sink += Time{static_cast<std::int64_t>(q.num_events())};
   });
 
   // Solve wall-time on the Table 3 / Fig. 2-3-shaped combined-resource
@@ -291,7 +333,7 @@ void write_bench_json(const char* path) {
 
   struct SolveSample {
     int threads = 0;
-    double wall_s = 0.0;
+    Timing wall;
     SolveResult result;
   };
   auto sweep_solves = [&](const Model& m) {
@@ -300,7 +342,7 @@ void write_bench_json(const char* path) {
       SolveSample s;
       s.threads = t;
       params.num_threads = t;
-      s.wall_s = best_of_seconds(3, [&] { s.result = solve(m, params); });
+      s.wall = time_repeated([&] { s.result = solve(m, params); });
       out.push_back(std::move(s));
     }
     return out;
@@ -335,16 +377,23 @@ void write_bench_json(const char* path) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"hardware_threads\": %d,\n",
                ThreadPool::resolve_num_threads(0));
+  std::fprintf(f, "  \"repetitions\": %d,\n", kRepetitions);
+  if (have_load) {
+    std::fprintf(f, "  \"loadavg_start\": [%.2f, %.2f, %.2f],\n",
+                 load_start[0], load_start[1], load_start[2]);
+  }
   std::fprintf(f, "  \"profile_events\": %zu,\n", p.num_events());
-  std::fprintf(f, "  \"profile_earliest_feasible_ns_per_op\": %.1f,\n",
-               query_s * 1e9 / kQueries);
-  std::fprintf(f, "  \"profile_earliest_feasible_ns_per_op_map_baseline\": %.1f,\n",
-               map_query_s * 1e9 / kMapQueries);
+  emit_timing(f, "profile_earliest_feasible_ns_per_op", query_s,
+              1e9 / kQueries, "%.1f");
+  emit_timing(f, "profile_earliest_feasible_ns_per_op_map_baseline",
+              map_query_s, 1e9 / kMapQueries, "%.1f");
   std::fprintf(f, "  \"profile_query_speedup_vs_map\": %.1f,\n",
-               query_s > 0 ? (map_query_s / kMapQueries) / (query_s / kQueries)
-                           : 0.0);
-  std::fprintf(f, "  \"profile_add_remove_ns_per_op\": %.1f,\n",
-               add_remove_s * 1e9 / (2.0 * kIntervals));
+               query_s.median_s > 0
+                   ? (map_query_s.median_s / kMapQueries) /
+                         (query_s.median_s / kQueries)
+                   : 0.0);
+  emit_timing(f, "profile_add_remove_ns_per_op", add_remove_s,
+              1e9 / (2.0 * kIntervals), "%.1f");
   std::fprintf(f, "  \"solve_workload\": \"table3-combined-25jobs\",\n");
   std::fprintf(f, "  \"solve_tasks\": %zu,\n", m.num_tasks());
   std::fprintf(f, "  \"solve_num_late\": %d,\n", small_1t.result.best.num_late);
@@ -353,8 +402,10 @@ void write_bench_json(const char* path) {
   std::fprintf(f, "  \"solve_budget_used_s\": %.6f,\n",
                small_1t.result.wall_seconds);
   for (const SolveSample& s : small) {
-    std::fprintf(f, "  \"solve_wall_s_%d_thread%s\": %.6f,\n", s.threads,
-                 s.threads == 1 ? "" : "s", s.wall_s);
+    emit_timing(f,
+                "solve_wall_s_" + std::to_string(s.threads) +
+                    (s.threads == 1 ? "_thread" : "_threads"),
+                s.wall, 1.0, "%.6f");
   }
   std::fprintf(f, "  \"solve_phase_portfolio_s\": %.6f,\n",
                small_1t.result.stats.portfolio_seconds);
@@ -362,13 +413,16 @@ void write_bench_json(const char* path) {
                small_1t.result.stats.improvement_seconds);
   std::fprintf(f, "  \"solve_phase_lns_s\": %.6f,\n",
                small_1t.result.stats.lns_seconds);
+  emit_counters(f, "solve", small_1t.result.stats);
   std::fprintf(f, "  \"solve_large_workload\": \"table3-combined-60jobs\",\n");
   std::fprintf(f, "  \"solve_large_tasks\": %zu,\n", m_large.num_tasks());
   std::fprintf(f, "  \"solve_large_num_late\": %d,\n",
                large_1t.result.best.num_late);
   for (const SolveSample& s : large) {
-    std::fprintf(f, "  \"solve_large_wall_s_%d_thread%s\": %.6f,\n", s.threads,
-                 s.threads == 1 ? "" : "s", s.wall_s);
+    emit_timing(f,
+                "solve_large_wall_s_" + std::to_string(s.threads) +
+                    (s.threads == 1 ? "_thread" : "_threads"),
+                s.wall, 1.0, "%.6f");
   }
   std::fprintf(f, "  \"solve_large_phase_portfolio_s\": %.6f,\n",
                large_1t.result.stats.portfolio_seconds);
@@ -376,9 +430,18 @@ void write_bench_json(const char* path) {
                large_1t.result.stats.improvement_seconds);
   std::fprintf(f, "  \"solve_large_phase_lns_s\": %.6f,\n",
                large_1t.result.stats.lns_seconds);
+  emit_counters(f, "solve_large", large_1t.result.stats);
   std::fprintf(f, "  \"solve_threads\": %d,\n", large_hw.threads);
+  // Ratio of medians: the perf-smoke gate's input.
   std::fprintf(f, "  \"solve_speedup\": %.3f,\n",
-               large_hw.wall_s > 0 ? large_1t.wall_s / large_hw.wall_s : 0.0);
+               large_hw.wall.median_s > 0
+                   ? large_1t.wall.median_s / large_hw.wall.median_s
+                   : 0.0);
+  double load_end[3] = {0.0, 0.0, 0.0};
+  if (getloadavg(load_end, 3) == 3) {
+    std::fprintf(f, "  \"loadavg_end\": [%.2f, %.2f, %.2f],\n", load_end[0],
+                 load_end[1], load_end[2]);
+  }
   std::fprintf(f, "  \"checksum\": %lld\n", static_cast<long long>(sink.count()));
   std::fprintf(f, "}\n");
   std::fclose(f);

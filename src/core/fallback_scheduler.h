@@ -5,8 +5,11 @@
 // the resource manager still owes the simulator a complete plan. This
 // scheduler produces one greedily: tasks are placed one at a time in EDF
 // job order (maps before reduces, then index order — the same preference
-// the CP portfolio's EDF/FIFO member uses), each on the (earliest
-// completion, lowest index) resource its flat-timeline Profile admits. It respects
+// the CP portfolio's EDF/FIFO member uses), each on the resource with the
+// earliest completion its flat-timeline Profile admits. Ties go to the
+// first resource visited: the lowest index when the task may run
+// anywhere, the first-listed candidate when it has a candidate list
+// (Model::candidates keeps the order it was given in). It respects
 // pinned/running assignments, map->reduce barriers, user precedence
 // edges, per-phase cumulative capacities, and network-link capacities —
 // i.e. it emits schedules that satisfy every Model constraint, just

@@ -48,12 +48,16 @@ std::vector<int> make_job_ranks(const Model& model, JobOrdering ordering) {
   // assignment-dependent or anti-affinity is active: on plain homogeneous
   // models the ranking — and therefore every schedule the engine emits —
   // stays bit-identical to the pre-extension solver.
-  const bool defer_hopeless =
-      model.hetero_speeds() || model.num_affinity_groups() > 0;
-  auto hopeless = [&](CpJobIndex j) -> int {
-    if (!defer_hopeless) return 0;
-    return model.completion_lower_bound(j) > model.job(j).deadline ? 1 : 0;
-  };
+  // The flag is computed once per job here, not inside the sort key:
+  // completion_lower_bound is O(tasks of the job + resources).
+  std::vector<int> hopeless(n, 0);
+  if (model.hetero_speeds() || model.num_affinity_groups() > 0) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto cj = static_cast<CpJobIndex>(j);
+      hopeless[j] =
+          model.completion_lower_bound(cj) > model.job(cj).deadline ? 1 : 0;
+    }
+  }
 
   auto key = [&](CpJobIndex j) -> std::tuple<int, Time, std::int64_t> {
     const CpJob& job = model.job(j);
@@ -62,17 +66,18 @@ std::vector<int> make_job_ranks(const Model& model, JobOrdering ordering) {
     // ties would collapse to equal keys and the ranking would depend on
     // stable_sort input order alone.
     const std::int64_t id = job.external_id >= 0 ? job.external_id : j;
+    const int h = hopeless[static_cast<std::size_t>(j)];
     switch (ordering) {
       case JobOrdering::kJobId:
-        return {hopeless(j), Time{0}, id};
+        return {h, Time{0}, id};
       case JobOrdering::kEdf:
-        return {hopeless(j), job.deadline, id};
+        return {h, job.deadline, id};
       case JobOrdering::kLeastLaxity:
-        return {hopeless(j), job.deadline - job.earliest_start -
-                                 work[static_cast<std::size_t>(j)],
+        return {h, job.deadline - job.earliest_start -
+                       work[static_cast<std::size_t>(j)],
                 id};
       case JobOrdering::kFcfs:
-        return {hopeless(j), job.earliest_start, id};
+        return {h, job.earliest_start, id};
     }
     return {0, Time{0}, j};
   };
@@ -90,7 +95,7 @@ std::vector<int> make_job_ranks(const Model& model, JobOrdering ordering) {
 SearchRoot::SearchRoot(const Model& model) : model_(&model) {
   // Profiles for every (resource, phase) pair. Zero-capacity phases get a
   // 1-capacity placeholder that is never used (tasks cannot select them:
-  // build_choices filters on capacity >= demand).
+  // for_each_eligible filters on capacity >= demand).
   profiles_.reserve(model.num_resources() * 2);
   net_profiles_.reserve(model.num_resources());
   for (const CpResource& r : model.resources()) {
@@ -138,6 +143,15 @@ SearchRoot::SearchRoot(const Model& model) : model_(&model) {
     const CpTask& t = model.task(static_cast<CpTaskIndex>(ti));
     if (!t.pinned) {
       free_tasks_.push_back(static_cast<CpTaskIndex>(ti));
+      if (!t.candidates.empty()) {
+        // Model::candidates keeps its order: the EDF fallback breaks
+        // completion ties by list order.
+        if (sorted_candidates_.empty()) {
+          sorted_candidates_.resize(model.num_tasks());
+        }
+        sorted_candidates_[ti] = t.candidates;
+        std::sort(sorted_candidates_[ti].begin(), sorted_candidates_[ti].end());
+      }
       continue;
     }
     // Pinned tasks occupy their fixed resource for the duration scaled by
@@ -416,6 +430,7 @@ bool SetTimesSearch::net_constrained(CpResourceIndex r, const CpTask& t) const {
 
 Time SetTimesSearch::earliest_feasible_on(CpResourceIndex r, const CpTask& t,
                                           Time est, Time duration) {
+  ++stats_->feasibility_queries;
   Profile& slots = profile(r, t.phase);
   if (!net_constrained(r, t)) {
     const Time s = slots.earliest_feasible(est, duration, t.demand);
@@ -438,7 +453,40 @@ Time SetTimesSearch::earliest_feasible_on(CpResourceIndex r, const CpTask& t,
   }
 }
 
+template <typename Fn>
+void SetTimesSearch::for_each_eligible(CpTaskIndex task, const CpTask& t,
+                                       Fn&& fn) {
+  auto visit = [&](CpResourceIndex r) {
+    const CpResource& res = model_.resource(r);
+    if (res.capacity(t.phase) < t.demand) return false;
+    // In a links-constrained cluster a zero-capacity resource offers no
+    // link at all — it is not a valid home for a net-demanding task.
+    if (t.net_demand > 0 && links_constrained_ &&
+        res.net_capacity < t.net_demand) {
+      return false;
+    }
+    // Anti-affinity: a resource already holding a task of this group is
+    // not an alternative (the branch simply never exists).
+    if (t.affinity_group >= 0 && group_use(t.affinity_group, r) > 0) {
+      return false;
+    }
+    return fn(r);
+  };
+  if (t.candidates.empty()) {
+    const auto m = static_cast<CpResourceIndex>(model_.num_resources());
+    for (CpResourceIndex r = 0; r < m; ++r) {
+      if (visit(r)) return;
+    }
+  } else {
+    for (CpResourceIndex r :
+         root_.sorted_candidates_[static_cast<std::size_t>(task)]) {
+      if (visit(r)) return;
+    }
+  }
+}
+
 void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
+  ++stats_->choice_builds;
   const CpTask& t = model_.task(task);
   const CpJob& j = model_.job(t.job);
   const auto ji = static_cast<std::size_t>(t.job);
@@ -453,46 +501,56 @@ void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
     MRCP_DCHECK(pp.decided());
     est = std::max(est, pp.start + model_.duration_on(p, pp.resource));
   }
+  level.est = est;
+  level.expanded = false;
+  level.next_choice = 0;
 
+  // Choices are ordered by (start, resource). Machines are visited in
+  // ascending index order, so a strict `<` keeps the lowest index among
+  // equal starts, and the first machine that answers `est` (the least
+  // possible start) cannot be beaten by any later one. A task no
+  // resource can host leaves `best` unset: the caller backtracks through
+  // the empty level (and reports exhaustion at the root). Unreachable
+  // for models that pass Model::validate(), which requires a capable
+  // candidate per task — kept recoverable so the degraded-mode pipeline
+  // can treat it as kInfeasible.
+  level.best = Choice{kAnyResource, kNoTime};
+  for_each_eligible(task, t, [&](CpResourceIndex r) {
+    const Time start =
+        earliest_feasible_on(r, t, est, model_.duration_on(task, r));
+    if (level.best.resource == kAnyResource || start < level.best.start) {
+      level.best = Choice{r, start};
+    }
+    return start == est;
+  });
+}
+
+void SetTimesSearch::expand_choices(CpTaskIndex task, Level& level) {
+  MRCP_DCHECK(level.best.resource != kAnyResource && !level.expanded);
+  ++stats_->levels_expanded;
+  const CpTask& t = model_.task(task);
   level.choices.clear();
-  auto consider = [&](CpResourceIndex r) {
-    const CpResource& res = model_.resource(r);
-    if (res.capacity(t.phase) < t.demand) return;
-    // In a links-constrained cluster a zero-capacity resource offers no
-    // link at all — it is not a valid home for a net-demanding task.
-    if (t.net_demand > 0 && links_constrained_ &&
-        res.net_capacity < t.net_demand) {
-      return;
-    }
-    // Anti-affinity: a resource already holding a task of this group is
-    // not an alternative (the branch simply never exists).
-    if (t.affinity_group >= 0 && group_use(t.affinity_group, r) > 0) return;
-    level.choices.push_back(
-        Choice{r, earliest_feasible_on(r, t, est, model_.duration_on(task, r))});
-  };
-  if (t.candidates.empty()) {
-    for (CpResourceIndex r = 0; r < static_cast<CpResourceIndex>(model_.num_resources());
-         ++r) {
-      consider(r);
-    }
-  } else {
-    for (CpResourceIndex r : t.candidates) consider(r);
-  }
-  // A task no resource can host is a dead end, not a crash: the caller
-  // backtracks through the empty level (and reports exhaustion at the
-  // root). Unreachable for models that pass Model::validate(), which
-  // requires a capable candidate per task — kept recoverable so the
-  // degraded-mode pipeline can treat it as kInfeasible.
-  if (level.choices.empty()) return;
-  std::stable_sort(level.choices.begin(), level.choices.end(),
-                   [](const Choice& a, const Choice& b) {
-                     if (a.start != b.start) return a.start < b.start;
-                     return a.resource < b.resource;
-                   });
+  for_each_eligible(task, t, [&](CpResourceIndex r) {
+    level.choices.push_back(Choice{
+        r, earliest_feasible_on(r, t, level.est, model_.duration_on(task, r))});
+    return false;
+  });
+  // (start, resource) is a total order up to identical entries (a
+  // candidate listed twice), so an unstable sort is exact.
+  std::sort(level.choices.begin(), level.choices.end(),
+            [](const Choice& a, const Choice& b) {
+              if (a.start != b.start) return a.start < b.start;
+              return a.resource < b.resource;
+            });
+  // The state is the one build_choices() saw, so the minimum is the same.
+  MRCP_AUDIT_ONLY(MRCP_CHECK_MSG(
+      level.choices.front().resource == level.best.resource &&
+          level.choices.front().start == level.best.start,
+      "lazy choices audit: expanded front differs from the scanned best");)
 
   // Postponed-start branches on the earliest resource: skip past the next
   // profile change(s). This is the "second branch" of set-times search.
-  const Choice best = level.choices.front();
+  const Choice best = level.best;
   Profile& prof = profile(best.resource, t.phase);
   const Time best_dur = model_.duration_on(task, best.resource);
   Time from = best.start;
@@ -507,6 +565,7 @@ void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
   }
   level.choices.insert(level.choices.end(), postponed_scratch_.begin(),
                        postponed_scratch_.end());
+  level.expanded = true;
 }
 
 void SetTimesSearch::apply(CpTaskIndex task, Level& level, const Choice& choice) {
@@ -596,6 +655,7 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
   SearchStats local_stats;
   SearchStats& st = stats ? *stats : local_stats;
   st = SearchStats{};
+  stats_ = &st;
 
   Solution best;
   if (incumbent && incumbent->valid) best = *incumbent;
@@ -700,12 +760,17 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
     }
 
     Level& level = levels[depth];
-    if (level_fresh) {
-      build_choices(order_[depth], level);
-      level.next_choice = 0;
+    if (level_fresh) build_choices(order_[depth], level);
+    // Choice 0 is the scanned best; only a return to this level (after a
+    // prune or a backtrack) needs the rest of the list.
+    if (level.next_choice > 0 && !level.expanded) {
+      expand_choices(order_[depth], level);
     }
+    const std::size_t num_choices =
+        level.expanded ? level.choices.size()
+                       : (level.best.resource != kAnyResource ? 1 : 0);
 
-    if (level.next_choice >= level.choices.size()) {
+    if (level.next_choice >= num_choices) {
       // Exhausted this level: backtrack.
       if (depth == 0) {
         st.exhausted = true;
@@ -717,7 +782,9 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
       continue;
     }
 
-    const Choice choice = level.choices[level.next_choice++];
+    const Choice choice =
+        level.expanded ? level.choices[level.next_choice] : level.best;
+    ++level.next_choice;
     apply(order_[depth], level, choice);
     ++st.decisions;
 

@@ -81,6 +81,13 @@ struct SearchStats {
   std::int64_t decisions = 0;
   std::int64_t fails = 0;
   std::int64_t solutions = 0;
+  /// Deterministic work counters (independent of host speed):
+  /// earliest-feasible queries against one machine, levels whose best
+  /// choice was scanned, and levels whose full choice list was built
+  /// because the search came back for a second choice.
+  std::int64_t feasibility_queries = 0;
+  std::int64_t choice_builds = 0;
+  std::int64_t levels_expanded = 0;
   bool exhausted = false;  ///< search space fully explored (proof of optimality)
   bool aborted = false;    ///< hard deadline expired before completion
 };
@@ -129,6 +136,11 @@ class SearchRoot {
   /// tasks of each group sit on each resource (pinned tasks replayed).
   /// Empty when the model has no affinity groups.
   std::vector<int> group_use_;
+  /// Per task, its candidate list sorted by resource index, so the
+  /// best-choice scan visits machines in ascending index order and may
+  /// stop at the first one that answers the task's earliest start.
+  /// Empty when no task restricts its candidates.
+  std::vector<std::vector<CpResourceIndex>> sorted_candidates_;
 };
 
 class SetTimesSearch {
@@ -176,8 +188,14 @@ class SetTimesSearch {
     CpResourceIndex resource;
     Time start;
   };
+  /// One decision level. A fresh level stores only its best choice;
+  /// the full choice list is built by expand_choices() the first time
+  /// the search comes back for choice 1 or later.
   struct Level {
-    std::vector<Choice> choices;
+    Choice best{kAnyResource, kNoTime};  ///< kAnyResource: no eligible machine
+    Time est;                            ///< the task's earliest start
+    bool expanded = false;               ///< `choices` holds the full list
+    std::vector<Choice> choices;         ///< sorted alternatives + postponed
     std::size_t next_choice = 0;
     int postpone_budget = 0;
     bool applied = false;
@@ -221,7 +239,19 @@ class SetTimesSearch {
                           model_.num_resources() +
                       static_cast<std::size_t>(r)];
   }
+  /// Calls `fn(r)` for each resource `t` may run on now (capacity, link
+  /// and anti-affinity permitting), in ascending index order, until `fn`
+  /// returns true.
+  template <typename Fn>
+  void for_each_eligible(CpTaskIndex task, const CpTask& t, Fn&& fn);
+  /// Fresh level: the task's earliest start and the minimum
+  /// (start, resource) choice, scanning machines in ascending index
+  /// order and stopping at the first one that answers `est`.
   void build_choices(CpTaskIndex task, Level& level);
+  /// Second visit to a level: the full (start, resource)-sorted choice
+  /// list followed by the postponed-start branches on the best machine.
+  /// Exact because undo() has restored the state the level was built in.
+  void expand_choices(CpTaskIndex task, Level& level);
   void apply(CpTaskIndex task, Level& level, const Choice& choice);
   void undo(CpTaskIndex task, Level& level);
 
@@ -250,6 +280,7 @@ class SetTimesSearch {
   std::vector<std::uint8_t> job_late_;
   int late_count_ = 0;
   std::vector<int> group_use_;  ///< anti-affinity occupancy, see SearchRoot
+  SearchStats* stats_ = nullptr;  ///< counters of the running run()
 
   /// Scratch reused across run()s and reset()s (capacity persists, so a
   /// cached search stops reallocating choice vectors on deep backtracks

@@ -117,6 +117,9 @@ SolveResult solve(const Model& model, const SolveParams& params,
     stats.decisions += st.decisions;
     stats.fails += st.fails;
     stats.solutions += st.solutions;
+    stats.feasibility_queries += st.feasibility_queries;
+    stats.choice_builds += st.choice_builds;
+    stats.levels_expanded += st.levels_expanded;
     stats.aborted = stats.aborted || st.aborted;
   };
 

@@ -79,6 +79,10 @@ struct SolveStats {
   std::int64_t decisions = 0;
   std::int64_t fails = 0;
   std::int64_t solutions = 0;
+  /// Summed SearchStats work counters over every search of the solve.
+  std::int64_t feasibility_queries = 0;
+  std::int64_t choice_builds = 0;
+  std::int64_t levels_expanded = 0;
   int lns_improvements = 0;
   double solve_seconds = 0.0;
   /// Per-phase wall-clock breakdown (sums to ~solve_seconds): greedy
