@@ -727,22 +727,6 @@ const Plan& MrcpRm::reschedule(Time now) {
         } else {
           // Full-model EDF plan — deterministic, never times out.
           chosen = fallback_schedule(built.model);
-          if (!chosen.valid && built.model.num_affinity_groups() > 0) {
-            // The greedy EDF pass can paint itself into a corner under
-            // anti-affinity (it never backtracks a group member off a
-            // contended host). A first-solution CP search without a hard
-            // deadline is complete — the soft budget never interrupts a
-            // descent that has no solution yet — so it settles
-            // feasibility outright.
-            cp::SolveParams complete = params;
-            complete.improvement_fails = 0;
-            complete.lns_iterations = 0;
-            complete.portfolio = {cp::JobOrdering::kEdf};
-            complete.hard_deadline = nullptr;
-            cp::SolveResult cr = cp::solve(built.model, complete);
-            account(cr);
-            chosen = std::move(cr.best);
-          }
           MRCP_CHECK_MSG(chosen.valid,
                          "fallback scheduler failed on a validated model");
         }

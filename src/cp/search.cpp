@@ -104,6 +104,18 @@ SearchRoot::SearchRoot(const Model& model) : model_(&model) {
     net_profiles_.emplace_back(std::max(1, r.net_capacity));
   }
   links_constrained_ = model.links_constrained();
+  visit_order_.resize(model.num_resources());
+  std::iota(visit_order_.begin(), visit_order_.end(), CpResourceIndex{0});
+  std::stable_sort(visit_order_.begin(), visit_order_.end(),
+                   [&](CpResourceIndex a, CpResourceIndex b) {
+                     return model.resource(a).speed_permille >
+                            model.resource(b).speed_permille;
+                   });
+  visit_position_.resize(model.num_resources());
+  for (std::size_t i = 0; i < visit_order_.size(); ++i) {
+    visit_position_[static_cast<std::size_t>(visit_order_[i])] =
+        static_cast<int>(i);
+  }
 #if MRCP_AUDIT_ENABLED
   audit_small_ = model.num_tasks() <= audit::kAuditModelSizeLimit;
   audit_profiles_.reserve(model.num_resources() * 2);
@@ -144,13 +156,15 @@ SearchRoot::SearchRoot(const Model& model) : model_(&model) {
     if (!t.pinned) {
       free_tasks_.push_back(static_cast<CpTaskIndex>(ti));
       if (!t.candidates.empty()) {
-        // Model::candidates keeps its order: the EDF fallback breaks
-        // completion ties by list order.
         if (sorted_candidates_.empty()) {
           sorted_candidates_.resize(model.num_tasks());
         }
         sorted_candidates_[ti] = t.candidates;
-        std::sort(sorted_candidates_[ti].begin(), sorted_candidates_[ti].end());
+        std::sort(sorted_candidates_[ti].begin(), sorted_candidates_[ti].end(),
+                  [&](CpResourceIndex a, CpResourceIndex b) {
+                    return visit_position_[static_cast<std::size_t>(a)] <
+                           visit_position_[static_cast<std::size_t>(b)];
+                  });
       }
       continue;
     }
@@ -472,17 +486,20 @@ void SetTimesSearch::for_each_eligible(CpTaskIndex task, const CpTask& t,
     }
     return fn(r);
   };
-  if (t.candidates.empty()) {
-    const auto m = static_cast<CpResourceIndex>(model_.num_resources());
-    for (CpResourceIndex r = 0; r < m; ++r) {
-      if (visit(r)) return;
-    }
-  } else {
-    for (CpResourceIndex r :
-         root_.sorted_candidates_[static_cast<std::size_t>(task)]) {
-      if (visit(r)) return;
-    }
+  const std::vector<CpResourceIndex>& machines =
+      t.candidates.empty()
+          ? root_.visit_order_
+          : root_.sorted_candidates_[static_cast<std::size_t>(task)];
+  for (CpResourceIndex r : machines) {
+    if (visit(r)) return;
   }
+}
+
+bool SetTimesSearch::choice_before(const Choice& a, const Choice& b) const {
+  if (a.end != b.end) return a.end < b.end;
+  if (a.start != b.start) return a.start < b.start;
+  return root_.visit_position_[static_cast<std::size_t>(a.resource)] <
+         root_.visit_position_[static_cast<std::size_t>(b.resource)];
 }
 
 void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
@@ -505,23 +522,32 @@ void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
   level.expanded = false;
   level.next_choice = 0;
 
-  // Choices are ordered by (start, resource). Machines are visited in
-  // ascending index order, so a strict `<` keeps the lowest index among
-  // equal starts, and the first machine that answers `est` (the least
-  // possible start) cannot be beaten by any later one. A task no
-  // resource can host leaves `best` unset: the caller backtracks through
-  // the empty level (and reports exhaustion at the root). Unreachable
-  // for models that pass Model::validate(), which requires a capable
-  // candidate per task — kept recoverable so the degraded-mode pipeline
-  // can treat it as kInfeasible.
-  level.best = Choice{kAnyResource, kNoTime};
+  // Machines are visited in choice_before()'s tie order, so a strict
+  // "before" keeps the earlier-visited machine among equal (end, start).
+  // No later machine can end before est + its duration, and durations
+  // never shrink along the visit order: once that lower bound does not
+  // beat the best choice, neither does any machine after it. On uniform
+  // speeds this stops right after the first machine that answers `est`.
+  // A task no resource can host leaves `best` unset: the caller
+  // backtracks through the empty level (and reports exhaustion at the
+  // root). Unreachable for models that pass Model::validate(), which
+  // requires a capable candidate per task — kept recoverable so the
+  // degraded-mode pipeline can treat it as kInfeasible.
+  level.best = Choice{kAnyResource, kNoTime, kNoTime};
   for_each_eligible(task, t, [&](CpResourceIndex r) {
-    const Time start =
-        earliest_feasible_on(r, t, est, model_.duration_on(task, r));
-    if (level.best.resource == kAnyResource || start < level.best.start) {
-      level.best = Choice{r, start};
+    const Time dur = model_.duration_on(task, r);
+    const Choice bound{r, est, est + dur};
+    if (level.best.resource != kAnyResource &&
+        !choice_before(bound, level.best)) {
+      return true;
     }
-    return start == est;
+    const Time start = earliest_feasible_on(r, t, est, dur);
+    const Choice choice{r, start, start + dur};
+    if (level.best.resource == kAnyResource ||
+        choice_before(choice, level.best)) {
+      level.best = choice;
+    }
+    return false;
   });
 }
 
@@ -531,16 +557,16 @@ void SetTimesSearch::expand_choices(CpTaskIndex task, Level& level) {
   const CpTask& t = model_.task(task);
   level.choices.clear();
   for_each_eligible(task, t, [&](CpResourceIndex r) {
-    level.choices.push_back(Choice{
-        r, earliest_feasible_on(r, t, level.est, model_.duration_on(task, r))});
+    const Time dur = model_.duration_on(task, r);
+    const Time start = earliest_feasible_on(r, t, level.est, dur);
+    level.choices.push_back(Choice{r, start, start + dur});
     return false;
   });
-  // (start, resource) is a total order up to identical entries (a
+  // choice_before() is a total order up to identical entries (a
   // candidate listed twice), so an unstable sort is exact.
   std::sort(level.choices.begin(), level.choices.end(),
-            [](const Choice& a, const Choice& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.resource < b.resource;
+            [&](const Choice& a, const Choice& b) {
+              return choice_before(a, b);
             });
   // The state is the one build_choices() saw, so the minimum is the same.
   MRCP_AUDIT_ONLY(MRCP_CHECK_MSG(
@@ -548,11 +574,11 @@ void SetTimesSearch::expand_choices(CpTaskIndex task, Level& level) {
           level.choices.front().start == level.best.start,
       "lazy choices audit: expanded front differs from the scanned best");)
 
-  // Postponed-start branches on the earliest resource: skip past the next
+  // Postponed-start branches on the best resource: skip past the next
   // profile change(s). This is the "second branch" of set-times search.
   const Choice best = level.best;
   Profile& prof = profile(best.resource, t.phase);
-  const Time best_dur = model_.duration_on(task, best.resource);
+  const Time best_dur = best.end - best.start;
   Time from = best.start;
   postponed_scratch_.clear();
   for (int k = 0; k < level.postpone_budget; ++k) {
@@ -560,7 +586,8 @@ void SetTimesSearch::expand_choices(CpTaskIndex task, Level& level) {
     if (event == kMaxTime) break;
     const Time start = earliest_feasible_on(best.resource, t, event, best_dur);
     if (start <= from) break;
-    postponed_scratch_.push_back(Choice{best.resource, start});
+    postponed_scratch_.push_back(
+        Choice{best.resource, start, start + best_dur});
     from = start;
   }
   level.choices.insert(level.choices.end(), postponed_scratch_.begin(),

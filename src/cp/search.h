@@ -5,19 +5,24 @@
 // id, EDF, least laxity first). For the chosen task it branches on the
 // alternative (candidate resource) and on postponed start times; within a
 // branch the start is the earliest time the resource's timetable admits
-// (set-times). Lateness indicators N_j are propagated eagerly: as soon as
-// a fixed task ends after its job's deadline the job is late, and a
-// branch is pruned when the number of certainly-late jobs reaches the
-// incumbent objective (branch-and-bound on sum N_j). Jobs whose static
-// completion lower bound already exceeds their deadline are counted late
-// from the root.
+// (set-times). Alternatives are tried by earliest completion, then
+// earliest start, then machine (fastest first, then index): on a
+// heterogeneous cluster a slow machine that frees up a little earlier
+// must not beat a fast one that finishes first. Lateness indicators N_j
+// are propagated eagerly: as soon as a fixed task ends after its job's
+// deadline the job is late, and a branch is pruned when the number of
+// certainly-late jobs reaches the incumbent objective (branch-and-bound
+// on sum N_j). Jobs whose static completion lower bound already exceeds
+// their deadline are counted late from the root.
 //
 // The first descent (taking the first branch everywhere) is an EDF/LLF
 // list schedule, so the search is anytime: it always returns a feasible
-// schedule, improved for as long as the fail/time budget lasts. The one
-// exception is the optional hard watchdog (SearchLimits::hard_deadline),
-// which may abort even the first descent — callers that set it must be
-// prepared for an invalid result (SearchStats::aborted).
+// schedule, improved for as long as the fail/time budget lasts. With an
+// EDF ranking and FIFO intra-job order that descent is the degraded-mode
+// EDF fallback (core/fallback_scheduler.h). The one exception is the
+// optional hard watchdog (SearchLimits::hard_deadline), which may abort
+// even the first descent — callers that set it must be prepared for an
+// invalid result (SearchStats::aborted).
 //
 // Root state is factored into SearchRoot: everything that depends only on
 // the Model (pinned-task replay into the timetables, the static lateness
@@ -136,10 +141,14 @@ class SearchRoot {
   /// tasks of each group sit on each resource (pinned tasks replayed).
   /// Empty when the model has no affinity groups.
   std::vector<int> group_use_;
-  /// Per task, its candidate list sorted by resource index, so the
-  /// best-choice scan visits machines in ascending index order and may
-  /// stop at the first one that answers the task's earliest start.
-  /// Empty when no task restricts its candidates.
+  /// The order in which the best-choice scan visits machines: speed
+  /// descending, then index. A task's duration never shrinks along it,
+  /// which is what lets the scan stop early (SetTimesSearch::build_choices).
+  /// On uniform speeds it is plain index order.
+  std::vector<CpResourceIndex> visit_order_;
+  std::vector<int> visit_position_;  ///< [resource] -> rank in visit_order_
+  /// Per task, its candidate list sorted by visit position. Empty when no
+  /// task restricts its candidates.
   std::vector<std::vector<CpResourceIndex>> sorted_candidates_;
 };
 
@@ -187,20 +196,22 @@ class SetTimesSearch {
   struct Choice {
     CpResourceIndex resource;
     Time start;
+    Time end;  ///< start + the task's duration on `resource`
   };
   /// One decision level. A fresh level stores only its best choice;
   /// the full choice list is built by expand_choices() the first time
   /// the search comes back for choice 1 or later.
   struct Level {
-    Choice best{kAnyResource, kNoTime};  ///< kAnyResource: no eligible machine
-    Time est;                            ///< the task's earliest start
-    bool expanded = false;               ///< `choices` holds the full list
-    std::vector<Choice> choices;         ///< sorted alternatives + postponed
+    /// kAnyResource: no eligible machine.
+    Choice best{kAnyResource, kNoTime, kNoTime};
+    Time est;                     ///< the task's earliest start
+    bool expanded = false;        ///< `choices` holds the full list
+    std::vector<Choice> choices;  ///< sorted alternatives + postponed
     std::size_t next_choice = 0;
     int postpone_budget = 0;
     bool applied = false;
     // Undo data for the applied choice:
-    Choice applied_choice{kAnyResource, kNoTime};
+    Choice applied_choice{kAnyResource, kNoTime, kNoTime};
     Time prev_fixed_map_end;
     Time prev_fixed_completion;
     bool prev_late = false;
@@ -240,16 +251,19 @@ class SetTimesSearch {
                       static_cast<std::size_t>(r)];
   }
   /// Calls `fn(r)` for each resource `t` may run on now (capacity, link
-  /// and anti-affinity permitting), in ascending index order, until `fn`
-  /// returns true.
+  /// and anti-affinity permitting), in visit order, until `fn` returns
+  /// true.
   template <typename Fn>
   void for_each_eligible(CpTaskIndex task, const CpTask& t, Fn&& fn);
-  /// Fresh level: the task's earliest start and the minimum
-  /// (start, resource) choice, scanning machines in ascending index
-  /// order and stopping at the first one that answers `est`.
+  /// The one machine-choice order: earliest end, then earliest start,
+  /// then visit position.
+  bool choice_before(const Choice& a, const Choice& b) const;
+  /// Fresh level: the task's earliest start and its minimum choice,
+  /// scanning machines in visit order and stopping before the first one
+  /// whose lower bound (est + duration, est) cannot beat the best.
   void build_choices(CpTaskIndex task, Level& level);
-  /// Second visit to a level: the full (start, resource)-sorted choice
-  /// list followed by the postponed-start branches on the best machine.
+  /// Second visit to a level: the full choice list in choice_before()
+  /// order, followed by the postponed-start branches on the best machine.
   /// Exact because undo() has restored the state the level was built in.
   void expand_choices(CpTaskIndex task, Level& level);
   void apply(CpTaskIndex task, Level& level, const Choice& choice);

@@ -110,8 +110,8 @@ Workload generate_synthetic_workload(const SyntheticWorkloadConfig& config) {
 
     // Placement constraints. One anti-affinity group spans the first
     // min(k_rd, m) reduce tasks (so the group always fits the cluster);
-    // grouped tasks keep the full candidate set — the documented
-    // common-candidates guarantee the greedy fallback relies on.
+    // grouped tasks keep the full candidate set, so every group can be
+    // placed (Model::validate's member count check is then exact).
     const Bernoulli wants_affinity{config.affinity_prob};
     const std::int64_t group_size =
         std::min<std::int64_t>(k_rd, config.num_resources);

@@ -108,6 +108,27 @@ TEST(FallbackScheduler, ReturnsInvalidWhenNoHostExists) {
   EXPECT_FALSE(sol.valid);
 }
 
+TEST(FallbackScheduler, BacktracksOutOfAnAntiAffinityCorner) {
+  // Tasks a and b must run on distinct machines, and b may only run on
+  // machine 0. The descent puts a on machine 0 first (it ends earliest
+  // there), leaving b no machine; it backtracks and moves a to machine 1.
+  Model m;
+  m.add_resource(1, 1, 0, 2000);
+  m.add_resource(1, 1);
+  const CpJobIndex j = m.add_job(Time{0}, Time{400}, 0);
+  const CpTaskIndex a = m.add_task(j, Phase::kMap, Time{50});
+  const CpTaskIndex b = m.add_task(j, Phase::kMap, Time{50});
+  m.set_affinity_group(a, 0);
+  m.set_affinity_group(b, 0);
+  m.restrict_candidates(b, {0});
+  ASSERT_EQ(m.validate(), "");
+  const Solution sol = fallback_schedule(m);
+  ASSERT_TRUE(sol.valid);
+  EXPECT_EQ(validate_solution(m, sol), "");
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(a)].resource, 1);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(b)].resource, 0);
+}
+
 TEST(FallbackScheduler, Deterministic) {
   RandomStream rng(7, 0);
   Model m;

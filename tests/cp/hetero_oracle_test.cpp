@@ -10,12 +10,15 @@
 // objective still contain the optimum, so exact agreement is required.
 //
 // The EDF fallback scheduler is held to a weaker but still differential
-// standard on the same instances: its schedule must pass both the
-// production validator and the independent brute-force checker, and its
-// late count can never beat the enumerated optimum.
+// standard on the same instances: it must always find a schedule, that
+// schedule must pass both the production validator and the independent
+// brute-force checker, and its late count can never beat the enumerated
+// optimum. The solver in turn is never worse than the fallback: the
+// fallback is its EDF/FIFO portfolio member.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,16 +38,26 @@ struct GeneratedModel {
   bool placement = false;  ///< carries candidates or an affinity group
 };
 
-/// Random small hetero model: 2-3 resources with mixed speed factors,
-/// 1-3 jobs, <= 6 tasks total (the extra resource multiplies the
-/// enumeration fan-out, so one task fewer than the homogeneous suite),
-/// candidate restrictions, anti-affinity pairs and pinned tasks.
-GeneratedModel generate_hetero_model(std::uint64_t seed) {
+/// Bounds on a generated model's size. The defaults keep it small enough
+/// for exhaustive enumeration: 2-3 resources, 1-3 jobs, <= 6 tasks total
+/// (the extra resource multiplies the enumeration fan-out, so one task
+/// fewer than the homogeneous suite).
+struct ModelSize {
+  int max_resources = 3;
+  int max_jobs = 3;
+  int max_tasks = 6;
+};
+
+/// Random hetero model with mixed speed factors, candidate
+/// restrictions, anti-affinity pairs and pinned tasks.
+GeneratedModel generate_hetero_model(std::uint64_t seed,
+                                     ModelSize size = {}) {
   RandomStream rng(seed, 0x4E70);
   GeneratedModel out;
   Model& m = out.model;
 
-  const int num_resources = static_cast<int>(rng.uniform_int(2, 3));
+  const int num_resources =
+      static_cast<int>(rng.uniform_int(2, size.max_resources));
   const bool hetero = rng.bernoulli(0.8);
   for (int r = 0; r < num_resources; ++r) {
     const int map_cap = static_cast<int>(rng.uniform_int(1, 2));
@@ -54,8 +67,8 @@ GeneratedModel generate_hetero_model(std::uint64_t seed) {
     m.add_resource(map_cap, reduce_cap, /*net_capacity=*/0, speed);
   }
 
-  const int num_jobs = static_cast<int>(rng.uniform_int(1, 3));
-  int tasks_left = 6;
+  const int num_jobs = static_cast<int>(rng.uniform_int(1, size.max_jobs));
+  int tasks_left = size.max_tasks;
   std::vector<CpTaskIndex> all_tasks;
   for (int ji = 0; ji < num_jobs; ++ji) {
     const Time est{rng.uniform_int(0, 10)};
@@ -80,7 +93,10 @@ GeneratedModel generate_hetero_model(std::uint64_t seed) {
     // Slack factor from ~0.5 (often must be late) to ~2.5 (loose). Base
     // durations; a slow machine can still push a loose job late, which
     // is exactly the regime the differential must cover.
-    const Time deadline = est + (total_work * rng.uniform_int(5, 25)) / 10;
+    // (A one-tick job at time 0 would round to deadline 0, which
+    // Model::add_job rejects.)
+    const Time deadline = std::max(
+        Time{1}, est + (total_work * rng.uniform_int(5, 25)) / 10);
     const CpJobIndex j = m.add_job(est, deadline, ji);
 
     for (int k = 0; k < num_maps; ++k) {
@@ -215,15 +231,53 @@ TEST(HeteroOracle, EdfFallbackIsSoundAndNeverBeatsTheOptimum) {
     if (oracle_late < 0) continue;
 
     const Solution fb = fallback_schedule(m);
-    if (!fb.valid) continue;  // affinity can defeat the greedy — allowed
+    // The fallback backtracks under anti-affinity, so it is complete.
+    ASSERT_TRUE(fb.valid) << "seed " << seed;
     EXPECT_EQ(validate_solution(m, fb), "") << "seed " << seed;
     EXPECT_EQ(audit::brute_force_check_solution(m, fb), "") << "seed " << seed;
     // A heuristic can tie the optimum but a "better" count would mean a
-    // validator hole, not a smarter greedy.
+    // validator hole, not a smarter heuristic.
     EXPECT_GE(fb.num_late, oracle_late) << "seed " << seed;
     ++compared;
   }
   EXPECT_EQ(compared, 200);
+}
+
+TEST(HeteroOracle, SolverNeverWorseThanEdfFallback) {
+  // Larger than the enumeration sweeps: 2-8 machines, up to 8 jobs and
+  // 40 tasks, so the fallback is late often and the solver has room.
+  const ModelSize size{8, 8, 40};
+  int compared = 0;
+  int with_placement = 0;
+  int fallback_late = 0;
+  int strictly_better = 0;
+  std::uint64_t seed = 2000000;  // disjoint from the sweeps above
+  while (compared < 300) {
+    ++seed;
+    GeneratedModel gen = generate_hetero_model(seed, size);
+    if (!gen.usable) continue;
+    const Model& m = gen.model;
+
+    const Solution fb = fallback_schedule(m);
+    ASSERT_TRUE(fb.valid) << "seed " << seed;
+    SolveParams params;
+    params.time_limit_s = 60.0;  // never binds on these models
+    params.seed = seed;
+    params.num_threads = 1;
+    const SolveResult result = solve(m, params);
+    ASSERT_TRUE(result.best.valid) << "seed " << seed;
+    EXPECT_LE(result.best.num_late, fb.num_late) << "seed " << seed;
+    with_placement += gen.placement ? 1 : 0;
+    fallback_late += fb.num_late > 0 ? 1 : 0;
+    strictly_better += result.best.num_late < fb.num_late ? 1 : 0;
+    ++compared;
+  }
+  std::printf("%d with placement constraints, %d with a late fallback, "
+              "%d where the solver is strictly better\n",
+              with_placement, fallback_late, strictly_better);
+  EXPECT_GT(with_placement, 200);
+  EXPECT_GT(fallback_late, 40);
+  EXPECT_GT(strictly_better, 0);
 }
 
 }  // namespace

@@ -1,20 +1,23 @@
-// Set-times search picks, at every decision, the machine with the
-// earliest feasible start (lowest index on ties), but builds the full
-// sorted choice list only when the search returns to a level. Two
-// properties pin that down on seeded direct models with heterogeneous
-// speeds, unsorted candidate lists, anti-affinity groups, pinned tasks
-// and net-constrained resources:
+// Set-times search picks, at every decision, the machine that completes
+// the task earliest (then the earliest start, then the fastest machine,
+// then the lowest index), but builds the full sorted choice list only
+// when the search returns to a level. Three properties pin that down on
+// seeded direct models with heterogeneous speeds, unsorted candidate
+// lists, anti-affinity groups, pinned tasks and net-constrained
+// resources:
 //
-//   * FirstDescentTakesEarliestLowestIndexMachine replays each first
+//   * FirstDescentTakesEarliestCompletionMachine replays each first
 //     descent against audit::ReferenceProfile timetables and checks
 //     every placement against all eligible machines at its decision
 //     point;
 //   * SolveDigestMatchesGolden hashes full cp::solve runs (B&B with
 //     postponed starts, then LNS) over placements, late counts and the
-//     decisions/fails/solutions counters. The constant was recorded with
-//     the earlier eager implementation, which built and sorted every
-//     level's full list; an equal digest means the lazy search walks the
-//     same tree.
+//     decisions/fails/solutions counters, so any change to the search
+//     tree changes the digest;
+//   * UniformSpeedSolveDigestMatchesGolden runs the same solves with
+//     every machine at baseline speed. Its constant was recorded when
+//     choices were ordered by (start, index): on uniform speeds the
+//     completion order reduces to that, and the tree is unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,7 +55,9 @@ constexpr int kSpeeds[] = {500, 750, 1000, 1500, 2000};
 /// shuffled subsets (sometimes with a repeated entry), two or three
 /// tasks of a job may share an anti-affinity group (full candidate set),
 /// and a job's first map may be pinned at its earliest start.
-Model generate_model(std::uint64_t seed) {
+/// With `uniform_speeds` every machine runs at baseline speed; the draws
+/// (and so everything else about the model) stay the same.
+Model generate_model(std::uint64_t seed, bool uniform_speeds = false) {
   Draw d{seed * 0x9E3779B97F4A7C15ULL + 0x1A2Bu};
   Model m;
   const int num_resources = static_cast<int>(d.in(3, 10));
@@ -60,8 +65,11 @@ Model generate_model(std::uint64_t seed) {
   for (int r = 0; r < num_resources; ++r) {
     // In a links-constrained cluster machine 0 covers every net demand.
     const int net_capacity = !links ? 0 : r == 0 ? 3 : static_cast<int>(d.in(1, 3));
-    m.add_resource(static_cast<int>(d.in(1, 3)), static_cast<int>(d.in(1, 3)),
-                   net_capacity, kSpeeds[d.in(0, 4)]);
+    const int map_capacity = static_cast<int>(d.in(1, 3));
+    const int reduce_capacity = static_cast<int>(d.in(1, 3));
+    const int speed = kSpeeds[d.in(0, 4)];
+    m.add_resource(map_capacity, reduce_capacity, net_capacity,
+                   uniform_speeds ? kBaseSpeedPermille : speed);
   }
 
   bool pinned = false;
@@ -160,7 +168,22 @@ std::vector<CpTaskIndex> preference_order(const Model& m,
   return order;
 }
 
-TEST(LazyChoices, FirstDescentTakesEarliestLowestIndexMachine) {
+/// The reference machine-choice key: (end, start, speed descending,
+/// index).
+struct ChoiceKey {
+  Time end;
+  Time start;
+  int speed;
+  CpResourceIndex resource;
+  bool operator<(const ChoiceKey& o) const {
+    if (end != o.end) return end < o.end;
+    if (start != o.start) return start < o.start;
+    if (speed != o.speed) return speed > o.speed;
+    return resource < o.resource;
+  }
+};
+
+TEST(LazyChoices, FirstDescentTakesEarliestCompletionMachine) {
   constexpr JobOrdering kOrderings[] = {JobOrdering::kEdf,
                                         JobOrdering::kLeastLaxity,
                                         JobOrdering::kJobId, JobOrdering::kFcfs};
@@ -169,6 +192,8 @@ TEST(LazyChoices, FirstDescentTakesEarliestLowestIndexMachine) {
   int grouped = 0;
   int net = 0;
   std::int64_t at_est = 0;
+  std::int64_t not_earliest_start = 0;  // a later start finishes first
+  std::int64_t speed_ties = 0;  // (end, start) tie broken by speed
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     const Model m = generate_model(seed);
     ASSERT_EQ(m.validate(), "") << "seed " << seed;
@@ -238,7 +263,8 @@ TEST(LazyChoices, FirstDescentTakesEarliestLowestIndexMachine) {
                            : std::max(job.earliest_start,
                                       map_end[static_cast<std::size_t>(t.job)]);
       CpResourceIndex best_r = kAnyResource;
-      Time best_start;
+      ChoiceKey best{};
+      Time min_start = kMaxTime;
       for (CpResourceIndex r = 0;
            r < static_cast<CpResourceIndex>(m.num_resources()); ++r) {
         const CpResource& res = m.resource(r);
@@ -273,23 +299,30 @@ TEST(LazyChoices, FirstDescentTakesEarliestLowestIndexMachine) {
           start = s2;
           if (s2 == s1) break;
         }
-        if (best_r == kAnyResource || start < best_start) {
+        min_start = std::min(min_start, start);
+        const ChoiceKey key{start + dur, start, res.speed_permille, r};
+        if (best_r != kAnyResource && key.end == best.end &&
+            key.start == best.start && key.speed != best.speed) {
+          ++speed_ties;
+        }
+        if (best_r == kAnyResource || key < best) {
           best_r = r;
-          best_start = start;
+          best = key;
         }
       }
       ASSERT_NE(best_r, kAnyResource) << "seed " << seed << " task " << ti;
       const TaskPlacement& got = sol.placements[static_cast<std::size_t>(ti)];
       ASSERT_EQ(got.resource, best_r) << "seed " << seed << " task " << ti;
-      ASSERT_EQ(got.start, best_start) << "seed " << seed << " task " << ti;
-      place(ti, best_r, best_start);
-      if (best_start == est) ++at_est;
+      ASSERT_EQ(got.start, best.start) << "seed " << seed << " task " << ti;
+      place(ti, best_r, best.start);
+      if (best.start == est) ++at_est;
+      if (best.start != min_start) ++not_earliest_start;
       if (!t.candidates.empty()) ++restricted;
     }
 
     // A first descent scans each level once, never expands one, and asks
-    // at most one query per eligible machine (no links) — fewer when a
-    // machine answers the earliest start.
+    // at most one query per eligible machine (no links) — fewer once a
+    // machine's lower bound cannot beat the best.
     EXPECT_EQ(st.choice_builds, static_cast<std::int64_t>(order.size()));
     EXPECT_EQ(st.levels_expanded, 0);
     if (!m.links_constrained()) {
@@ -304,6 +337,62 @@ TEST(LazyChoices, FirstDescentTakesEarliestLowestIndexMachine) {
   EXPECT_GT(grouped, 40);
   EXPECT_GT(net, 40);
   EXPECT_GT(at_est, 200);
+  // The models must exercise both halves of the key: a faster machine
+  // that starts later but ends first, and equal scaled durations.
+  EXPECT_GT(not_earliest_start, 20);
+  EXPECT_GT(speed_ties, 0);
+  std::printf("%lld placements not at the earliest start, %lld speed ties\n",
+              static_cast<long long>(not_earliest_start),
+              static_cast<long long>(speed_ties));
+}
+
+TEST(LazyChoices, EqualScaledDurationsTieToTheFasterMachine) {
+  // A base duration of 4 runs 3 ticks at 1400 and at 1500 permille
+  // (durations round up). Both machines are free at the job's start, so
+  // (end, start) ties; the faster machine wins although its index is
+  // higher, and the scan stops before querying the slower one: its lower
+  // bound equals the best and comes later in the visit order.
+  Model m;
+  m.add_resource(1, 1, 0, 1400);
+  m.add_resource(1, 1, 0, 1500);
+  m.add_resource(1, 1, 0, 500);
+  const CpJobIndex j = m.add_job(Time{0}, Time{100}, 0);
+  const CpTaskIndex t = m.add_task(j, Phase::kMap, Time{4});
+  ASSERT_EQ(m.duration_on(t, 0), m.duration_on(t, 1));
+  ASSERT_EQ(m.validate(), "");
+
+  SetTimesSearch search(m, make_job_ranks(m, JobOrdering::kEdf));
+  SearchLimits limits;
+  limits.stop_after_first_solution = true;
+  SearchStats st;
+  const Solution sol = search.run(limits, nullptr, &st);
+  ASSERT_TRUE(sol.valid);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].resource, 1);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].start, Time{0});
+  EXPECT_EQ(st.feasibility_queries, 1);
+}
+
+TEST(LazyChoices, FasterMachineThatStartsLaterWins) {
+  // Machine 0 (half speed) is free at 0; machine 1 (double speed) is busy
+  // until 10 with a pinned map. A 20-tick map ends at 40 on machine 0 and
+  // at 10 + 10 = 20 on machine 1, so it goes to machine 1.
+  Model m;
+  m.add_resource(1, 1, 0, 500);
+  m.add_resource(1, 1, 0, 2000);
+  const CpJobIndex j0 = m.add_job(Time{0}, Time{100}, 0);
+  const CpTaskIndex pinned = m.add_task(j0, Phase::kMap, Time{20});
+  m.pin_task(pinned, 1, Time{0});
+  const CpJobIndex j1 = m.add_job(Time{0}, Time{100}, 1);
+  const CpTaskIndex t = m.add_task(j1, Phase::kMap, Time{20});
+  ASSERT_EQ(m.validate(), "");
+
+  SetTimesSearch search(m, make_job_ranks(m, JobOrdering::kEdf));
+  SearchLimits limits;
+  limits.stop_after_first_solution = true;
+  const Solution sol = search.run(limits, nullptr, nullptr);
+  ASSERT_TRUE(sol.valid);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].resource, 1);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].start, Time{10});
 }
 
 /// FNV-1a over 64-bit words.
@@ -318,13 +407,14 @@ struct Digest {
   }
 };
 
-TEST(LazyChoices, SolveDigestMatchesGolden) {
+/// Digest of 120 seeded cp::solve runs; see the file comment.
+std::uint64_t solve_digest(bool uniform_speeds) {
   Digest digest;
   std::int64_t total_fails = 0;
   int solves_with_fails = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
-    const Model m = generate_model(seed + 1000);
-    ASSERT_EQ(m.validate(), "") << "seed " << seed;
+    const Model m = generate_model(seed + 1000, uniform_speeds);
+    EXPECT_EQ(m.validate(), "") << "seed " << seed;
     SolveParams params;
     params.improvement_fails = 300;
     params.postpone_tries = 2;
@@ -333,7 +423,7 @@ TEST(LazyChoices, SolveDigestMatchesGolden) {
     params.seed = seed;
     params.num_threads = 1;
     const SolveResult r = solve(m, params);
-    ASSERT_TRUE(r.best.valid) << "seed " << seed;
+    EXPECT_TRUE(r.best.valid) << "seed " << seed;
     for (const TaskPlacement& p : r.best.placements) {
       digest.add(p.resource);
       digest.add(p.start.count());
@@ -349,7 +439,15 @@ TEST(LazyChoices, SolveDigestMatchesGolden) {
               static_cast<unsigned long long>(digest.h),
               static_cast<long long>(total_fails), solves_with_fails);
   EXPECT_GT(solves_with_fails, 30);
-  EXPECT_EQ(digest.h, 0x1DA0D7FBF33ABBC4ULL);
+  return digest.h;
+}
+
+TEST(LazyChoices, SolveDigestMatchesGolden) {
+  EXPECT_EQ(solve_digest(false), 0x42E9B6F48C7E36CEULL);
+}
+
+TEST(LazyChoices, UniformSpeedSolveDigestMatchesGolden) {
+  EXPECT_EQ(solve_digest(true), 0x74BC0FF739EB5CFBULL);
 }
 
 }  // namespace
