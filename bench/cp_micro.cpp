@@ -249,6 +249,8 @@ void emit_counters(std::FILE* f, const std::string& prefix,
                    const SolveStats& st) {
   std::fprintf(f, "  \"%s_decisions\": %lld,\n", prefix.c_str(),
                static_cast<long long>(st.decisions));
+  std::fprintf(f, "  \"%s_members_run\": %lld,\n", prefix.c_str(),
+               static_cast<long long>(st.members_run));
   std::fprintf(f, "  \"%s_fails\": %lld,\n", prefix.c_str(),
                static_cast<long long>(st.fails));
   std::fprintf(f, "  \"%s_feasibility_queries\": %lld,\n", prefix.c_str(),

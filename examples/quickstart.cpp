@@ -26,10 +26,15 @@ Job make_job(JobId id, Time earliest_start, Time deadline,
   j.earliest_start = earliest_start;
   j.deadline = deadline;
   for (Time s : map_secs) {
-    j.map_tasks.push_back(Task{TaskType::kMap, s * kTicksPerSecond, 1});
+    Task map;
+    map.exec_time = s * kTicksPerSecond;
+    j.map_tasks.push_back(map);
   }
   for (Time s : reduce_secs) {
-    j.reduce_tasks.push_back(Task{TaskType::kReduce, s * kTicksPerSecond, 1});
+    Task reduce;
+    reduce.type = TaskType::kReduce;
+    reduce.exec_time = s * kTicksPerSecond;
+    j.reduce_tasks.push_back(reduce);
   }
   return j;
 }

@@ -28,16 +28,21 @@ Job make_pipeline(JobId id, Time start_s, Time deadline_s, int width,
   j.earliest_start = Time{start_s} * kTicksPerSecond;
   j.deadline = Time{deadline_s} * kTicksPerSecond;
   for (int lane = 0; lane < width; ++lane) {
-    j.map_tasks.push_back(Task{TaskType::kMap, ingest_s * kTicksPerSecond, 1});
+    Task map;
+    map.exec_time = ingest_s * kTicksPerSecond;
+    j.map_tasks.push_back(map);
   }
   for (int lane = 0; lane < width; ++lane) {
-    j.map_tasks.push_back(
-        Task{TaskType::kMap, transform_s * kTicksPerSecond, 1});
+    Task map;
+    map.exec_time = transform_s * kTicksPerSecond;
+    j.map_tasks.push_back(map);
     // transform of lane `lane` waits for its ingest task.
     j.precedences.emplace_back(lane, width + lane);
   }
-  j.reduce_tasks.push_back(
-      Task{TaskType::kReduce, aggregate_s * kTicksPerSecond, 1});
+  Task reduce;
+  reduce.type = TaskType::kReduce;
+  reduce.exec_time = aggregate_s * kTicksPerSecond;
+  j.reduce_tasks.push_back(reduce);
   return j;
 }
 

@@ -114,6 +114,10 @@ class SearchRoot {
 
   const Model& model() const { return *model_; }
 
+  /// Jobs whose completion lower bound already exceeds their deadline:
+  /// they are late in every leaf, so no solution has fewer late jobs.
+  int late_lower_bound() const { return late_count_; }
+
  private:
   friend class SetTimesSearch;
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -191,22 +192,42 @@ SolveResult solve(const Model& model, const SolveParams& params,
       adaptive, std::vector<std::uint8_t>(model.num_jobs(), 0),
       std::vector<std::uint8_t>(model.num_jobs(), 1)};
 
-  struct Member {
-    JobOrdering ordering;
+  // Member i runs ordering i / |variants| with intra variant i % |variants|.
+  // An ordering's ranks are computed when its first member runs, so a
+  // solve that stops at an EDF member never ranks by the other orderings.
+  struct Ranking {
+    std::once_flag once;
     std::vector<int> ranks;
-    std::vector<std::uint8_t> lpt;
   };
-  std::vector<Member> members;
-  members.reserve(params.portfolio.size() * intra_variants.size());
-  for (JobOrdering ordering : params.portfolio) {
-    const std::vector<int> ranks = make_job_ranks(model, ordering);
-    for (const std::vector<std::uint8_t>& lpt_variant : intra_variants) {
-      members.push_back(Member{ordering, ranks, lpt_variant});
-    }
-  }
+  std::vector<Ranking> rankings(params.portfolio.size());
+  auto member_ordering = [&](std::size_t i) {
+    return params.portfolio[i / intra_variants.size()];
+  };
+  auto member_ranks = [&](std::size_t i) -> const std::vector<int>& {
+    Ranking& r = rankings[i / intra_variants.size()];
+    std::call_once(r.once, [&] {
+      r.ranks = make_job_ranks(model, member_ordering(i));
+    });
+    return r.ranks;
+  };
+  auto member_lpt = [&](std::size_t i) -> const std::vector<std::uint8_t>& {
+    return intra_variants[i % intra_variants.size()];
+  };
+  const std::size_t num_members =
+      params.portfolio.size() * intra_variants.size();
 
-  std::vector<ResultSlot> member_results(members.size());
+  // Early stop: the root's statically late jobs are late in every leaf,
+  // so once a member reaches that count no later member can win the
+  // strictly-fewer fold below. `first_at_bound` is the lowest member
+  // index that reached it, and members above it skip. The fold's winner
+  // always runs — it is the first member at the minimum, so no member
+  // before it can have set the index — which keeps the result identical
+  // to running every member, on any number of threads.
+  const int late_bound = root.late_lower_bound();
+  std::atomic<std::size_t> first_at_bound{num_members};
+  std::vector<ResultSlot> member_results(num_members);
   auto run_member = [&](std::size_t i) {
+    if (i > first_at_bound.load()) return;
     // An exhausted budget skips the member before any setup — the same
     // monotone check on both the sequential and the pool path, so both
     // do identical work when the budget binds (slot stays ran = false).
@@ -215,29 +236,44 @@ SolveResult solve(const Model& model, const SolveParams& params,
     out.ran = true;
     const SearchLimits limits = descent_limits(0.05);
     SetTimesSearch& search = local_search();
-    search.reset(members[i].ranks, members[i].lpt);
+    search.reset(member_ranks(i), member_lpt(i));
     out.sol = search.run(limits, nullptr, &out.stats);
+    if (out.sol.valid && out.sol.num_late <= late_bound) {
+      std::size_t first = first_at_bound.load();
+      while (i < first && !first_at_bound.compare_exchange_weak(first, i)) {
+      }
+    }
   };
   if (pool) {
-    pool->run_indexed(members.size(), run_member);
+    pool->run_indexed(num_members, run_member);
   } else {
-    for (std::size_t i = 0; i < members.size(); ++i) run_member(i);
+    for (std::size_t i = 0; i < num_members; ++i) run_member(i);
   }
   // Post-barrier audit, before the fold consumes the member solutions:
   // every member that ran must have produced a constraint-satisfying
-  // solution, and the fold below must land exactly on the best late-count
-  // in the member set — a pure function of (warm start, member order),
-  // which is what makes the winner independent of thread count and
-  // completion timing.
+  // solution no better than the root bound, and the fold below must land
+  // exactly on the best late-count in the member set — a pure function
+  // of (warm start, member order), which is what makes the winner
+  // independent of thread count and completion timing. The EDF/FIFO
+  // member is the degraded-mode fallback plan; the final audit checks
+  // that the solve never returns anything worse.
   MRCP_AUDIT_ONLY(
       int audit_expected_late = best.valid ? best.num_late
                                            : std::numeric_limits<int>::max();
-      for (std::size_t i = 0; i < members.size(); ++i) {
+      int audit_fallback_late = std::numeric_limits<int>::max();
+      for (std::size_t i = 0; i < num_members; ++i) {
         if (!member_results[i].ran || !member_results[i].sol.valid) continue;
         MRCP_AUDIT_CHECK(validate_solution(model, member_results[i].sol));
         if (model.num_tasks() <= audit::kAuditModelSizeLimit) {
           MRCP_AUDIT_CHECK(
               audit::brute_force_check_solution(model, member_results[i].sol));
+        }
+        MRCP_CHECK_MSG(member_results[i].sol.num_late >= late_bound,
+                       "root bound audit: a portfolio member has fewer late "
+                       "jobs than the root's late lower bound");
+        if (member_ordering(i) == JobOrdering::kEdf &&
+            i % intra_variants.size() == 1) {  // the all-FIFO variant
+          audit_fallback_late = member_results[i].sol.num_late;
         }
         audit_expected_late =
             std::min(audit_expected_late, member_results[i].sol.num_late);
@@ -247,17 +283,18 @@ SolveResult solve(const Model& model, const SolveParams& params,
   // objective only: the completion-time tie-break would otherwise always
   // pick all-LPT by an epsilon, re-synchronizing task endings and
   // hurting future arrivals the current model cannot see.
-  for (std::size_t i = 0; i < members.size(); ++i) {
+  for (std::size_t i = 0; i < num_members; ++i) {
     if (!member_results[i].ran) continue;
+    ++stats.members_run;
     account(member_results[i].stats);
     Solution& sol = member_results[i].sol;
     const bool strictly_fewer_late =
         sol.valid && (!best.valid || sol.num_late < best.num_late);
     if (strictly_fewer_late) {
       best = std::move(sol);
-      best_ranks = std::move(members[i].ranks);
-      best_lpt = std::move(members[i].lpt);
-      stats.best_ordering = members[i].ordering;
+      best_ranks = member_ranks(i);
+      best_lpt = member_lpt(i);
+      stats.best_ordering = member_ordering(i);
     }
   }
   MRCP_AUDIT_ONLY({
@@ -267,9 +304,7 @@ SolveResult solve(const Model& model, const SolveParams& params,
                    "portfolio fold audit: folded incumbent does not equal "
                    "the best member late-count");
   })
-  if (best_ranks.empty()) {
-    best_ranks = make_job_ranks(model, params.portfolio.front());
-  }
+  if (best_ranks.empty()) best_ranks = member_ranks(0);
   stats.portfolio_seconds = timer.elapsed_seconds();
 
   // Phases 2 and 3 can only help while some job is late.
@@ -286,6 +321,11 @@ SolveResult solve(const Model& model, const SolveParams& params,
     limits.hard_deadline = params.hard_deadline;
     SearchStats st;
     Solution sol = search.run(limits, &best, &st);
+    MRCP_AUDIT_ONLY(if (sol.valid) {
+      MRCP_CHECK_MSG(sol.num_late >= late_bound,
+                     "root bound audit: the B&B solution has fewer late "
+                     "jobs than the root's late lower bound");
+    })
     account(st);
     if (st.exhausted) stats.proved_optimal = true;
     if (sol.better_than(best)) best = sol;
@@ -362,6 +402,9 @@ SolveResult solve(const Model& model, const SolveParams& params,
           for (std::size_t r = 0; r < nbhs.size(); ++r) {
             if (!round_results[r].sol.valid) continue;
             MRCP_AUDIT_CHECK(validate_solution(model, round_results[r].sol));
+            MRCP_CHECK_MSG(round_results[r].sol.num_late >= late_bound,
+                           "root bound audit: an LNS solution has fewer late "
+                           "jobs than the root's late lower bound");
           })
       for (std::size_t r = 0; r < nbhs.size(); ++r) {
         account(round_results[r].stats);
@@ -378,14 +421,26 @@ SolveResult solve(const Model& model, const SolveParams& params,
                       stats.improvement_seconds;
 
   // Final-answer audit: the returned schedule must satisfy every model
-  // constraint (independent brute-force oracle on small models), and the
-  // shared bound must have stayed a running minimum throughout.
+  // constraint (independent brute-force oracle on small models), be no
+  // worse than the EDF/FIFO fallback plan when that member ran, and sit
+  // at the root bound when an early stop skipped members; the shared
+  // bound must have stayed a running minimum throughout.
   MRCP_AUDIT_ONLY({
     if (best.valid) {
       MRCP_AUDIT_CHECK(validate_solution(model, best));
       if (model.num_tasks() <= audit::kAuditModelSizeLimit) {
         MRCP_AUDIT_CHECK(audit::brute_force_check_solution(model, best));
       }
+    }
+    MRCP_CHECK_MSG(best.valid ? best.num_late <= audit_fallback_late
+                              : audit_fallback_late ==
+                                    std::numeric_limits<int>::max(),
+                   "fallback audit: the solve returned more late jobs than "
+                   "the EDF/FIFO portfolio member");
+    if (first_at_bound.load() < num_members) {
+      MRCP_CHECK_MSG(best.valid && best.num_late == late_bound,
+                     "early-stop audit: a member reached the root bound but "
+                     "the solve did not return a solution at it");
     }
     MRCP_AUDIT_CHECK(bound_auditor.error());
   })

@@ -3,9 +3,13 @@
 // This plays the role CPLEX's CP Optimizer plays in the paper: given a
 // Model it returns the best schedule it can find within a budget,
 // minimizing the number of late jobs. The strategy is
-//   1. a portfolio of first-descent searches, one per job-ordering
-//     strategy (EDF, least laxity, job id, FCFS) — these are the list
-//      schedules the paper's §VI.B ordering experiment compares;
+//   1. a portfolio of first-descent searches, one per (job-ordering
+//      strategy, intra-job order) pair — the orderings (EDF, least
+//      laxity, job id, FCFS) are the list schedules the paper's §VI.B
+//      ordering experiment compares. The portfolio stops at the first
+//      member, in member order, whose late count reaches the root's
+//      late lower bound (SearchRoot::late_lower_bound): no later member
+//      could have strictly fewer late jobs, so the result is unchanged;
 //   2. a set-times branch-and-bound improvement run seeded with the
 //      portfolio incumbent;
 //   3. large-neighbourhood search: randomized perturbations of the job
@@ -16,7 +20,8 @@
 //
 // With num_threads > 1 the portfolio members and each LNS round's
 // neighbourhoods run concurrently on a ThreadPool, sharing an atomic
-// incumbent late-count that prunes strictly-worse branches. Winner
+// incumbent late-count that prunes strictly-worse branches; a member
+// above the first one that reached the root bound skips. Winner
 // selection happens deterministically after the barrier, so for a fixed
 // seed the result is independent of thread count and timing (as long as
 // the wall-clock budget does not bind) — see docs/cp_engine.md.
@@ -83,6 +88,10 @@ struct SolveStats {
   std::int64_t feasibility_queries = 0;
   std::int64_t choice_builds = 0;
   std::int64_t levels_expanded = 0;
+  /// Portfolio members that ran. The others were skipped because an
+  /// earlier member reached the root's late lower bound, or because the
+  /// budget ran out.
+  std::int64_t members_run = 0;
   int lns_improvements = 0;
   double solve_seconds = 0.0;
   /// Per-phase wall-clock breakdown (sums to ~solve_seconds): greedy

@@ -11,13 +11,17 @@
 //     every placement against all eligible machines at its decision
 //     point;
 //   * SolveDigestMatchesGolden hashes full cp::solve runs (B&B with
-//     postponed starts, then LNS) over placements, late counts and the
-//     decisions/fails/solutions counters, so any change to the search
-//     tree changes the digest;
+//     postponed starts, then LNS) into two digests: a plan digest over
+//     placements, late counts, total completions and statuses, and a
+//     counter digest over decisions/fails/solutions. Any change to the
+//     search tree changes the counter digest; only a change to what the
+//     solver returns changes the plan digest (the portfolio's early stop
+//     at the root's late lower bound changes the counters, not the
+//     plans);
 //   * UniformSpeedSolveDigestMatchesGolden runs the same solves with
-//     every machine at baseline speed. Its constant was recorded when
+//     every machine at baseline speed. Its plan digest was recorded when
 //     choices were ordered by (start, index): on uniform speeds the
-//     completion order reduces to that, and the tree is unchanged.
+//     completion order reduces to that, and the plans are unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -407,9 +411,15 @@ struct Digest {
   }
 };
 
-/// Digest of 120 seeded cp::solve runs; see the file comment.
-std::uint64_t solve_digest(bool uniform_speeds) {
-  Digest digest;
+/// Digests of 120 seeded cp::solve runs; see the file comment.
+struct SolveDigests {
+  std::uint64_t plan;
+  std::uint64_t counters;
+};
+
+SolveDigests solve_digests(bool uniform_speeds) {
+  Digest plan;
+  Digest counters;
   std::int64_t total_fails = 0;
   int solves_with_fails = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
@@ -425,29 +435,37 @@ std::uint64_t solve_digest(bool uniform_speeds) {
     const SolveResult r = solve(m, params);
     EXPECT_TRUE(r.best.valid) << "seed " << seed;
     for (const TaskPlacement& p : r.best.placements) {
-      digest.add(p.resource);
-      digest.add(p.start.count());
+      plan.add(p.resource);
+      plan.add(p.start.count());
     }
-    digest.add(r.best.num_late);
-    digest.add(r.stats.decisions);
-    digest.add(r.stats.fails);
-    digest.add(r.stats.solutions);
+    plan.add(r.best.num_late);
+    plan.add(r.best.total_completion.count());
+    plan.add(static_cast<int>(r.status));
+    counters.add(r.stats.decisions);
+    counters.add(r.stats.fails);
+    counters.add(r.stats.solutions);
     total_fails += r.stats.fails;
     solves_with_fails += r.stats.fails > 0 ? 1 : 0;
   }
-  std::printf("solve digest %016llx, fails %lld over %d solves\n",
-              static_cast<unsigned long long>(digest.h),
+  std::printf("plan digest %016llx, counter digest %016llx, fails %lld over "
+              "%d solves\n",
+              static_cast<unsigned long long>(plan.h),
+              static_cast<unsigned long long>(counters.h),
               static_cast<long long>(total_fails), solves_with_fails);
   EXPECT_GT(solves_with_fails, 30);
-  return digest.h;
+  return SolveDigests{plan.h, counters.h};
 }
 
 TEST(LazyChoices, SolveDigestMatchesGolden) {
-  EXPECT_EQ(solve_digest(false), 0x42E9B6F48C7E36CEULL);
+  const SolveDigests d = solve_digests(false);
+  EXPECT_EQ(d.plan, 0x87203F1D93EFEC63ULL);
+  EXPECT_EQ(d.counters, 0x54A86DA064792B90ULL);
 }
 
 TEST(LazyChoices, UniformSpeedSolveDigestMatchesGolden) {
-  EXPECT_EQ(solve_digest(true), 0x74BC0FF739EB5CFBULL);
+  const SolveDigests d = solve_digests(true);
+  EXPECT_EQ(d.plan, 0x20AA0491D27E667CULL);
+  EXPECT_EQ(d.counters, 0xBD539433F740A18DULL);
 }
 
 }  // namespace

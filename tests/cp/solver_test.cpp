@@ -127,6 +127,101 @@ TEST(Solver, SolveSecondsPopulated) {
   EXPECT_LT(result.stats.solve_seconds, 5.0);
 }
 
+// Portfolio early stop: once a member reaches the root's late lower bound
+// (the statically late jobs) no later member can win the strictly-fewer
+// fold, so the solve skips them and returns what running all nine would.
+
+/// Three loose jobs on two machines: any list schedule meets every
+/// deadline. With `hopeless` a fourth job's lone map outlasts its
+/// deadline, so it is late at the root and in every leaf.
+Model loose_model(bool hopeless) {
+  Model m;
+  m.add_resource(2, 1);
+  m.add_resource(2, 1);
+  for (int j = 0; j < 3; ++j) {
+    const CpJobIndex cj = m.add_job(Time{10 * j}, Time{1000}, j);
+    m.add_task(cj, Phase::kMap, Time{40});
+    m.add_task(cj, Phase::kMap, Time{30});
+    m.add_task(cj, Phase::kReduce, Time{20});
+  }
+  if (hopeless) {
+    const CpJobIndex cj = m.add_job(Time{0}, Time{30}, 3);
+    m.add_task(cj, Phase::kMap, Time{50});
+  }
+  return m;
+}
+
+SolveResult solve_with_threads(const Model& m, int num_threads) {
+  SolveParams params = fast_params();
+  params.num_threads = num_threads;
+  params.time_limit_s = 60.0;  // must not bind
+  return solve(m, params);
+}
+
+TEST(SolverEarlyStop, NoLateJobStopsAfterTheFirstMember) {
+  const Model m = loose_model(false);
+  ASSERT_EQ(m.validate(), "");
+  EXPECT_EQ(SearchRoot(m).late_lower_bound(), 0);
+  const SolveResult r = solve_with_threads(m, 1);
+  ASSERT_TRUE(r.best.valid);
+  EXPECT_EQ(r.best.num_late, 0);
+  EXPECT_EQ(r.stats.members_run, 1);
+  EXPECT_EQ(r.stats.best_ordering, JobOrdering::kEdf);
+  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+}
+
+TEST(SolverEarlyStop, StaticallyLateJobStopsAtTheRootBound) {
+  const Model m = loose_model(true);
+  ASSERT_EQ(m.validate(), "");
+  EXPECT_EQ(SearchRoot(m).late_lower_bound(), 1);
+  const SolveResult r = solve_with_threads(m, 1);
+  ASSERT_TRUE(r.best.valid);
+  EXPECT_EQ(r.best.num_late, 1);
+  EXPECT_EQ(r.stats.members_run, 1);
+  // B&B proves the bound at depth 0.
+  EXPECT_TRUE(r.stats.proved_optimal);
+  EXPECT_EQ(validate_solution(m, r.best), "");
+}
+
+TEST(SolverEarlyStop, RunsEveryMemberWhenNoneReachesTheBound) {
+  // Two jobs that each fit alone but not together on one slot: one is
+  // late in every schedule, yet neither is late at the root.
+  Model m;
+  m.add_resource(1, 1);
+  for (int j = 0; j < 2; ++j) {
+    const CpJobIndex cj = m.add_job(Time{0}, Time{60}, j);
+    m.add_task(cj, Phase::kMap, Time{50});
+  }
+  ASSERT_EQ(m.validate(), "");
+  EXPECT_EQ(SearchRoot(m).late_lower_bound(), 0);
+  const SolveResult r = solve_with_threads(m, 1);
+  ASSERT_TRUE(r.best.valid);
+  EXPECT_EQ(r.best.num_late, 1);
+  EXPECT_EQ(r.stats.members_run, 9);
+}
+
+TEST(SolverEarlyStop, SamePlanOnOneAndFourThreads) {
+  for (bool hopeless : {false, true}) {
+    const Model m = loose_model(hopeless);
+    const SolveResult one = solve_with_threads(m, 1);
+    const SolveResult four = solve_with_threads(m, 4);
+    ASSERT_TRUE(one.best.valid);
+    ASSERT_TRUE(four.best.valid);
+    EXPECT_EQ(one.best.num_late, four.best.num_late);
+    EXPECT_EQ(one.best.total_completion, four.best.total_completion);
+    EXPECT_EQ(one.stats.best_ordering, four.stats.best_ordering);
+    // On the pool path, members above the first one at the bound may
+    // already have started, so only the plan must match.
+    EXPECT_GE(four.stats.members_run, 1);
+    ASSERT_EQ(one.best.placements.size(), four.best.placements.size());
+    for (std::size_t t = 0; t < one.best.placements.size(); ++t) {
+      EXPECT_EQ(one.best.placements[t].resource,
+                four.best.placements[t].resource);
+      EXPECT_EQ(one.best.placements[t].start, four.best.placements[t].start);
+    }
+  }
+}
+
 // Property sweep: random instances always yield valid solutions, and the
 // solver never does worse than the plain EDF first descent.
 class SolverRandomProperty : public ::testing::TestWithParam<std::uint64_t> {};
