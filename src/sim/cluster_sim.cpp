@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -53,10 +54,14 @@ std::string validate_execution(const Workload& workload,
                                const std::vector<ExecutedTask>& executed,
                                const std::vector<ExecutedTask>& killed,
                                const std::vector<DownInterval>& downtime) {
+  // Job j's tasks have the dense indices [first_task[j], first_task[j+1]).
+  std::vector<std::size_t> first_task(workload.jobs.size() + 1, 0);
+  for (std::size_t j = 0; j < workload.jobs.size(); ++j) {
+    first_task[j + 1] = first_task[j] + workload.jobs[j].num_tasks();
+  }
   // Every task of every job executed successfully exactly once (killed
   // attempts are extra occupancy on top, never a completion).
-  std::size_t expected = 0;
-  for (const Job& j : workload.jobs) expected += j.num_tasks();
+  const std::size_t expected = first_task.back();
   if (executed.size() != expected) {
     std::ostringstream os;
     os << "executed " << executed.size() << " tasks, expected " << expected;
@@ -66,56 +71,74 @@ std::string validate_execution(const Workload& workload,
   // be swept against its resource's link capacity — a zero-capacity
   // resource then has no room for it (rather than silently skipping).
   const bool links_constrained = cluster_constrains_links(workload.cluster);
-  std::map<std::pair<JobId, int>, const ExecutedTask*> seen;
-  std::map<std::pair<ResourceId, int>, std::map<Time, int>> deltas;
-  std::map<JobId, Time> latest_map_end;
+  // Flat arrays rather than node-based maps: the validator walks every
+  // executed task of a run, and its cost should not hinge on how warm
+  // the cache is for hundreds of thousands of tree nodes.
+  std::vector<const ExecutedTask*> by_task(expected, nullptr);
+  std::vector<Time> latest_map_end(workload.jobs.size(), kNoTime);
+  // Occupancy steps per (resource, slot kind, time); kind 2 is the link.
+  struct Delta {
+    ResourceId resource;
+    int kind;
+    Time time;
+    int amount;
+  };
+  std::vector<Delta> deltas;
+  deltas.reserve(2 * (executed.size() + killed.size()));
+  auto occupy = [&](const ExecutedTask& et, const Task& task) {
+    const int kind = static_cast<int>(task.type);
+    deltas.push_back({et.resource, kind, et.start, task.res_req});
+    deltas.push_back({et.resource, kind, et.end, -task.res_req});
+    if (task.net_demand > 0 && links_constrained) {
+      deltas.push_back({et.resource, 2, et.start, task.net_demand});
+      deltas.push_back({et.resource, 2, et.end, -task.net_demand});
+    }
+  };
 
   for (const ExecutedTask& et : executed) {
-    std::ostringstream where;
-    where << "job " << et.job << " task " << et.task_index << ": ";
+    auto fail = [&et](const char* what) {
+      return "job " + std::to_string(et.job) + " task " +
+             std::to_string(et.task_index) + ": " + what;
+    };
     if (et.job < 0 || static_cast<std::size_t>(et.job) >= workload.jobs.size()) {
-      return where.str() + "unknown job";
+      return fail("unknown job");
     }
-    const Job& job = workload.jobs[static_cast<std::size_t>(et.job)];
+    const auto j = static_cast<std::size_t>(et.job);
+    const Job& job = workload.jobs[j];
     if (et.task_index < 0 ||
         static_cast<std::size_t>(et.task_index) >= job.num_tasks()) {
-      return where.str() + "bad task index";
+      return fail("bad task index");
     }
-    if (!seen.emplace(std::make_pair(et.job, et.task_index), &et).second) {
-      return where.str() + "executed twice";
-    }
+    const ExecutedTask*& slot =
+        by_task[first_task[j] + static_cast<std::size_t>(et.task_index)];
+    if (slot != nullptr) return fail("executed twice");
+    slot = &et;
     const Task& task = job.task(static_cast<std::size_t>(et.task_index));
     if (et.resource < 0 || et.resource >= workload.cluster.size()) {
-      return where.str() + "bad resource";
+      return fail("bad resource");
     }
     const Resource& host = workload.cluster.resource(et.resource);
     // A task's observed duration is its exec time scaled by the host's
     // speed factor — a fast machine must finish early, a slow one late.
     if (et.end - et.start != host.scaled_duration(task.exec_time)) {
-      return where.str() + "wrong duration for the host's speed";
+      return fail("wrong duration for the host's speed");
     }
     if (et.start < job.earliest_start) {
-      return where.str() + "started before s_j";
+      return fail("started before s_j");
     }
     if (!task.candidates.empty() &&
         std::find(task.candidates.begin(), task.candidates.end(),
                   et.resource) == task.candidates.end()) {
-      return where.str() + "ran outside its candidate resources";
+      return fail("ran outside its candidate resources");
     }
     if (!task.racks.empty() &&
         std::find(task.racks.begin(), task.racks.end(), host.rack) ==
             task.racks.end()) {
-      return where.str() + "ran outside its eligible racks";
+      return fail("ran outside its eligible racks");
     }
-    deltas[{et.resource, static_cast<int>(task.type)}][et.start] += task.res_req;
-    deltas[{et.resource, static_cast<int>(task.type)}][et.end] -= task.res_req;
-    if (task.net_demand > 0 && links_constrained) {
-      deltas[{et.resource, 2}][et.start] += task.net_demand;
-      deltas[{et.resource, 2}][et.end] -= task.net_demand;
-    }
+    occupy(et, task);
     if (task.type == TaskType::kMap) {
-      auto [it, inserted] = latest_map_end.try_emplace(et.job, et.end);
-      if (!inserted) it->second = std::max(it->second, et.end);
+      latest_map_end[j] = std::max(latest_map_end[j], et.end);
     }
   }
 
@@ -136,48 +159,45 @@ std::string validate_execution(const Workload& workload,
   // their resource. They join the capacity sweeps — a slot lost mid-task
   // was still a slot held.
   for (const ExecutedTask& k : killed) {
-    std::ostringstream where;
-    where << "killed attempt job " << k.job << " task " << k.task_index << ": ";
+    auto fail = [&k](const char* what) {
+      return "killed attempt job " + std::to_string(k.job) + " task " +
+             std::to_string(k.task_index) + ": " + what;
+    };
     if (k.job < 0 || static_cast<std::size_t>(k.job) >= workload.jobs.size()) {
-      return where.str() + "unknown job";
+      return fail("unknown job");
     }
     const Job& job = workload.jobs[static_cast<std::size_t>(k.job)];
     if (k.task_index < 0 ||
         static_cast<std::size_t>(k.task_index) >= job.num_tasks()) {
-      return where.str() + "bad task index";
+      return fail("bad task index");
     }
     if (k.resource < 0 || k.resource >= workload.cluster.size()) {
-      return where.str() + "bad resource";
+      return fail("bad resource");
     }
     const Task& task = job.task(static_cast<std::size_t>(k.task_index));
     const Resource& k_host = workload.cluster.resource(k.resource);
-    if (k.end < k.start) return where.str() + "negative attempt length";
+    if (k.end < k.start) return fail("negative attempt length");
     if (k.end - k.start >= k_host.scaled_duration(task.exec_time)) {
-      return where.str() + "attempt ran to completion yet counts as killed";
+      return fail("attempt ran to completion yet counts as killed");
     }
     if (!task.candidates.empty() &&
         std::find(task.candidates.begin(), task.candidates.end(),
                   k.resource) == task.candidates.end()) {
-      return where.str() + "attempt ran outside its candidate resources";
+      return fail("attempt ran outside its candidate resources");
     }
     if (!task.racks.empty() &&
         std::find(task.racks.begin(), task.racks.end(), k_host.rack) ==
             task.racks.end()) {
-      return where.str() + "attempt ran outside its eligible racks";
+      return fail("attempt ran outside its eligible racks");
     }
     bool at_failure = false;
     for (const DownInterval* d : down_by_res[static_cast<std::size_t>(k.resource)]) {
       at_failure = at_failure || d->start == k.end;
     }
     if (!at_failure) {
-      return where.str() + "kill time matches no failure of its resource";
+      return fail("kill time matches no failure of its resource");
     }
-    deltas[{k.resource, static_cast<int>(task.type)}][k.start] += task.res_req;
-    deltas[{k.resource, static_cast<int>(task.type)}][k.end] -= task.res_req;
-    if (task.net_demand > 0 && links_constrained) {
-      deltas[{k.resource, 2}][k.start] += task.net_demand;
-      deltas[{k.resource, 2}][k.end] -= task.net_demand;
-    }
+    occupy(k, task);
   }
 
   // No successful interval may overlap its resource's downtime.
@@ -197,28 +217,26 @@ std::string validate_execution(const Workload& workload,
   for (const ExecutedTask& et : executed) {
     const Job& job = workload.jobs[static_cast<std::size_t>(et.job)];
     const Task& task = job.task(static_cast<std::size_t>(et.task_index));
-    if (task.type == TaskType::kReduce) {
-      auto it = latest_map_end.find(et.job);
-      if (it != latest_map_end.end() && et.start < it->second) {
-        return "job " + std::to_string(et.job) +
-               ": reduce started before all maps finished";
-      }
+    if (task.type == TaskType::kReduce &&
+        et.start < latest_map_end[static_cast<std::size_t>(et.job)]) {
+      return "job " + std::to_string(et.job) +
+             ": reduce started before all maps finished";
     }
   }
-  // Workflow precedences (user-specified DAG edges).
-  {
-    std::map<std::pair<JobId, int>, const ExecutedTask*> by_key;
-    for (const ExecutedTask& et : executed) {
-      by_key[{et.job, et.task_index}] = &et;
-    }
-    for (const Job& job : workload.jobs) {
-      for (const auto& [before, after] : job.precedences) {
-        const ExecutedTask* b = by_key.at({job.id, before});
-        const ExecutedTask* a = by_key.at({job.id, after});
-        if (a->start < b->end) {
-          return "job " + std::to_string(job.id) +
-                 ": workflow precedence violated in execution";
-        }
+  // Workflow precedences (user-specified DAG edges). Every task executed
+  // exactly once, so every slot of by_task is filled.
+  for (std::size_t j = 0; j < workload.jobs.size(); ++j) {
+    const Job& job = workload.jobs[j];
+    for (const auto& [before, after] : job.precedences) {
+      MRCP_CHECK_MSG(before >= 0 && after >= 0 &&
+                         static_cast<std::size_t>(std::max(before, after)) <
+                             job.num_tasks(),
+                     "workflow precedence index out of range");
+      const ExecutedTask* b = by_task[first_task[j] + static_cast<std::size_t>(before)];
+      const ExecutedTask* a = by_task[first_task[j] + static_cast<std::size_t>(after)];
+      if (a->start < b->end) {
+        return "job " + std::to_string(job.id) +
+               ": workflow precedence violated in execution";
       }
     }
   }
@@ -243,24 +261,35 @@ std::string validate_execution(const Workload& workload,
       }
     }
   }
-  // Capacity sweeps (map slots, reduce slots, network links).
-  for (const auto& [key, delta] : deltas) {
-    const Resource& r = workload.cluster.resource(key.first);
-    const int cap = key.second == 2
-                        ? r.net_capacity
-                        : r.capacity(static_cast<TaskType>(key.second));
-    int usage = 0;
-    for (const auto& [time, d] : delta) {
-      usage += d;
-      if (usage > cap) {
-        std::ostringstream os;
-        os << "resource " << key.first << " "
-           << (key.second == 2   ? "net"
-               : key.second == 0 ? "map"
-                                 : "reduce")
-           << " over capacity at t=" << time;
-        return os.str();
-      }
+  // Capacity sweeps (map slots, reduce slots, network links), per
+  // (resource, kind) in time order; the steps at one instant apply
+  // together, so a task may start exactly where another ends.
+  std::sort(deltas.begin(), deltas.end(), [](const Delta& a, const Delta& b) {
+    return std::tie(a.resource, a.kind, a.time) <
+           std::tie(b.resource, b.kind, b.time);
+  });
+  int usage = 0;
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    const Delta& d = deltas[i];
+    if (i == 0 || d.resource != deltas[i - 1].resource ||
+        d.kind != deltas[i - 1].kind) {
+      usage = 0;
+    }
+    usage += d.amount;
+    const bool instant_done = i + 1 == deltas.size() ||
+                              deltas[i + 1].resource != d.resource ||
+                              deltas[i + 1].kind != d.kind ||
+                              deltas[i + 1].time != d.time;
+    if (!instant_done) continue;
+    const Resource& r = workload.cluster.resource(d.resource);
+    const int cap = d.kind == 2 ? r.net_capacity
+                                : r.capacity(static_cast<TaskType>(d.kind));
+    if (usage > cap) {
+      std::ostringstream os;
+      os << "resource " << d.resource << " "
+         << (d.kind == 2 ? "net" : d.kind == 0 ? "map" : "reduce")
+         << " over capacity at t=" << d.time;
+      return os.str();
     }
   }
   return "";
