@@ -3,7 +3,7 @@
 //
 // Every reschedule() appends one InvocationRecord saying which rung of
 // the escalation ladder produced the plan — the primary CP solve, a
-// shrink/backoff retry, the EDF fallback scheduler, a backpressure
+// frozen-model backoff retry, the EDF fallback scheduler, a backpressure
 // short-circuit, or nothing at all (idle / everything parked) — plus how
 // many CP attempts ran and how much wall clock they burned. The ledger
 // is what makes degraded operation observable: a run that silently fell
@@ -23,7 +23,7 @@ namespace mrcp {
 /// Which rung of the escalation ladder produced an invocation's plan.
 enum class InvocationOutcome : std::uint8_t {
   kCpPrimary,  ///< the primary CP solve (healthy path)
-  kCpRetry,    ///< a shrink/backoff retry found its own solution (degraded)
+  kCpRetry,    ///< a frozen-model retry found its own solution (degraded)
   kFallback,   ///< the EDF fallback scheduler's plan was published (degraded)
   kParked,     ///< nothing schedulable: every live job parked (degraded)
   kSkipped,    ///< backpressure short-circuit: previous plan republished

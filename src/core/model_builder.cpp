@@ -22,19 +22,9 @@ void compile_allowed(cp::Model& model, cp::CpTaskIndex ct, const LiveTask& lt,
       lt.anti_affinity_exclude.empty()) {
     return;
   }
-  auto rack_ok = [&](ResourceId r) {
-    if (lt.racks.empty()) return true;
-    const int rack = cluster.resource(r).rack;
-    return std::find(lt.racks.begin(), lt.racks.end(), rack) != lt.racks.end();
-  };
-  auto excluded = [&](ResourceId r) {
-    return std::find(lt.anti_affinity_exclude.begin(),
-                     lt.anti_affinity_exclude.end(),
-                     r) != lt.anti_affinity_exclude.end();
-  };
   std::vector<cp::CpResourceIndex> allowed;
   auto try_add = [&](ResourceId r) {
-    if (rack_ok(r) && !excluded(r)) {
+    if (placement_allows(cluster, lt, r)) {
       allowed.push_back(static_cast<cp::CpResourceIndex>(r));
     }
   };
@@ -107,6 +97,24 @@ void add_jobs_and_tasks(BuiltModel& built, std::span<const LiveJob> jobs,
 
 }  // namespace
 
+bool placement_allows(const Cluster& cluster, const LiveTask& lt,
+                      ResourceId r) {
+  if (!lt.candidates.empty() &&
+      std::find(lt.candidates.begin(), lt.candidates.end(), r) ==
+          lt.candidates.end()) {
+    return false;
+  }
+  if (!lt.racks.empty()) {
+    const int rack = cluster.resource(r).rack;
+    if (std::find(lt.racks.begin(), lt.racks.end(), rack) == lt.racks.end()) {
+      return false;
+    }
+  }
+  return std::find(lt.anti_affinity_exclude.begin(),
+                   lt.anti_affinity_exclude.end(),
+                   r) == lt.anti_affinity_exclude.end();
+}
+
 BuiltModel build_direct_model(const Cluster& cluster,
                               std::span<const LiveJob> jobs) {
   BuiltModel built;
@@ -129,10 +137,7 @@ BuiltModel build_combined_model(const Cluster& cluster,
                  "direct model");
   built.model.add_resource(cluster.total_map_slots(),
                            cluster.total_reduce_slots(), 0, uniform_speed);
-  bool links_constrained = false;
-  for (const Resource& r : cluster.resources()) {
-    links_constrained |= r.net_capacity > 0;
-  }
+  const bool links_constrained = cluster.links_constrained();
   for (const LiveJob& lj : jobs) {
     for (const LiveTask& lt : lj.tasks) {
       MRCP_CHECK_MSG(lt.res_req == 1,

@@ -62,6 +62,12 @@ struct BuiltModel {
   bool combined = false;
 };
 
+/// Is `r` within the task's placement constraints — candidate list, rack
+/// locality, and resources burned by completed anti-affinity siblings?
+/// Capacity is not considered.
+bool placement_allows(const Cluster& cluster, const LiveTask& lt,
+                      ResourceId r);
+
 BuiltModel build_direct_model(const Cluster& cluster,
                               std::span<const LiveJob> jobs);
 

@@ -180,36 +180,35 @@ void MrcpRm::sweep_completed(Time now) {
   }
 }
 
-std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now, bool freeze_planned,
+std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
                                                std::set<JobId>* dirty) {
   std::vector<LiveJob> live;
   live.reserve(active_.size());
   for (const auto& [id, st] : active_) {
-    // Incremental mode (dirty != nullptr): freezing is per job — jobs
-    // outside the dirty set form the frozen boundary, dirty jobs are
-    // re-solved from free. A clean job is only sound to freeze when
-    // every non-completed task still has an assignment and every
-    // planned-but-unstarted one sits on an up resource; anything else
-    // means the dirty-set bookkeeping missed an event, so the job is
-    // promoted to dirty (counted — the audit tests assert this safety
-    // net never fires).
-    bool job_freeze = freeze_planned;
-    if (dirty != nullptr) {
-      job_freeze = dirty->count(id) == 0;
-      if (job_freeze) {
-        for (std::size_t ti = 0; ti < st.job.num_tasks(); ++ti) {
-          if (st.completed[ti]) continue;
-          const Assignment& as = st.assignments[ti];
-          const bool sound =
-              as.assigned() &&
-              (as.start <= now ||
-               down_[static_cast<std::size_t>(as.resource)] == 0);
-          if (!sound) {
-            job_freeze = false;
-            dirty->insert(id);
-            ++stats_.dirty_promotions;
-            break;
-          }
+    // With `dirty` (incremental invocations and the degraded-mode retry
+    // rungs) freezing is per job: jobs outside the dirty set form the
+    // frozen boundary, dirty jobs are re-solved from free. A clean job is
+    // only sound to freeze when every non-completed task still has an
+    // assignment and every planned-but-unstarted one sits on an up
+    // resource; anything else means the dirty-set bookkeeping missed an
+    // event, so the job is promoted to dirty (counted — the audit tests
+    // assert this safety net never fires). A frozen job has every live
+    // task pinned and a dirty job none, so no pinned task can ever wait
+    // on a free predecessor.
+    bool job_freeze = dirty != nullptr && dirty->count(id) == 0;
+    if (job_freeze) {
+      for (std::size_t ti = 0; ti < st.job.num_tasks(); ++ti) {
+        if (st.completed[ti]) continue;
+        const Assignment& as = st.assignments[ti];
+        const bool sound =
+            as.assigned() &&
+            (as.start <= now ||
+             down_[static_cast<std::size_t>(as.resource)] == 0);
+        if (!sound) {
+          job_freeze = false;
+          dirty->insert(id);
+          ++stats_.dirty_promotions;
+          break;
         }
       }
     }
@@ -250,16 +249,10 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now, bool freeze_planned,
         if (bit != burned.end()) lt.anti_affinity_exclude = bit->second;
       }
       const Assignment& as = st.assignments[ti];
-      // Freezing never pins a planned assignment onto a down resource:
-      // handle_resource_down resets those, so one surviving here would
-      // be a stale-plan resurrection — treat the task as free instead.
-      const bool frozen =
-          job_freeze && as.assigned() &&
-          down_[static_cast<std::size_t>(as.resource)] == 0;
-      if (as.assigned() && (as.start <= now || frozen)) {
-        // Running: pinned (Table 2 lines 11-12). With freeze_planned
-        // (the degraded-mode retry rungs) or on the incremental frozen
-        // boundary, planned-but-unstarted tasks are frozen in place too.
+      // Running: pinned (Table 2 lines 11-12). On the frozen boundary,
+      // planned-but-unstarted tasks are pinned in place too — the
+      // soundness check above keeps them off down resources.
+      if (as.assigned() && (as.start <= now || job_freeze)) {
         lt.started = true;
         lt.resource = as.resource;
         lt.start = as.start;
@@ -277,81 +270,12 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now, bool freeze_planned,
       }
       lj.precedences.emplace_back(before, after);
     }
-    // Incremental per-job freezing never needs the demotion fixpoint: a
-    // frozen (clean) job has *every* live task marked started, so no
-    // frozen task can have a free predecessor, and a dirty job has no
-    // frozen tasks at all. The fixpoint below serves the whole-model
-    // freeze of the degraded-mode retry rungs.
-    if (freeze_planned && dirty == nullptr) {
-      // A frozen assignment is only sound while every predecessor of the
-      // task is still accounted for. When a failure resets a map (or a
-      // workflow predecessor) to free, the dependent's old start time
-      // assumed a completion that no longer exists — keeping it pinned
-      // would let the plan run a reduce before its maps. Demote such
-      // dependents back to free, to fixpoint (demotions cascade along
-      // precedence chains). Tasks that actually started are never
-      // demoted: a started task's predecessors all completed, and
-      // completed tasks are never reset.
-      std::map<int, std::size_t> by_flat;
-      for (std::size_t i = 0; i < lj.tasks.size(); ++i) {
-        by_flat.emplace(lj.tasks[i].task_index, i);
-      }
-      auto really_started = [&](const LiveTask& lt) {
-        return lt.started &&
-               st.assignments[static_cast<std::size_t>(lt.task_index)].start <=
-                   now;
-      };
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        bool any_free_map = false;
-        for (const LiveTask& lt : lj.tasks) {
-          any_free_map |= lt.type == TaskType::kMap && !lt.started;
-        }
-        for (LiveTask& lt : lj.tasks) {
-          if (!lt.started || really_started(lt)) continue;
-          bool free_pred = any_free_map && lt.type == TaskType::kReduce;
-          for (const auto& [before, after] : lj.precedences) {
-            if (after != lt.task_index) continue;
-            const auto bit = by_flat.find(before);
-            free_pred |= bit != by_flat.end() && !lj.tasks[bit->second].started;
-          }
-          if (free_pred) {
-            lt.started = false;
-            lt.resource = kNoResource;
-            lt.start = kNoTime;
-            changed = true;
-          }
-        }
-      }
-    }
     live.push_back(std::move(lj));
   }
   return live;
 }
 
 namespace {
-
-/// Is `r` (by id) within the task's placement constraints — candidate
-/// list, rack locality, and resources burned by completed anti-affinity
-/// siblings?
-bool placement_allows(const Cluster& cluster, const LiveTask& lt,
-                      ResourceId r) {
-  if (!lt.candidates.empty() &&
-      std::find(lt.candidates.begin(), lt.candidates.end(), r) ==
-          lt.candidates.end()) {
-    return false;
-  }
-  if (!lt.racks.empty()) {
-    const int rack = cluster.resource(r).rack;
-    if (std::find(lt.racks.begin(), lt.racks.end(), rack) == lt.racks.end()) {
-      return false;
-    }
-  }
-  return std::find(lt.anti_affinity_exclude.begin(),
-                   lt.anti_affinity_exclude.end(),
-                   r) == lt.anti_affinity_exclude.end();
-}
 
 /// Can `r` host `lt` at all: capacity, links, placement constraints.
 bool resource_hosts(const Cluster& cluster, const LiveTask& lt, ResourceId r,
@@ -409,13 +333,6 @@ bool affinity_groups_satisfiable(const Cluster& cluster, const LiveJob& lj,
   return true;
 }
 
-bool cluster_links_constrained(const Cluster& cluster) {
-  for (const Resource& r : cluster.resources()) {
-    if (r.net_capacity > 0) return true;
-  }
-  return false;
-}
-
 /// Keep only a job's started tasks (and the precedence edges among
 /// them); the rest is parked. Returns false when nothing remains.
 bool keep_started_tasks_only(LiveJob& lj) {
@@ -443,8 +360,8 @@ bool keep_started_tasks_only(LiveJob& lj) {
 
 void MrcpRm::park_unplaceable(std::vector<LiveJob>& live, Time now) {
   parked_.clear();
-  const bool cur_links = cluster_links_constrained(cluster_);
-  const bool pristine_links = cluster_links_constrained(pristine_cluster_);
+  const bool cur_links = cluster_.links_constrained();
+  const bool pristine_links = pristine_cluster_.links_constrained();
   for (auto it = live.begin(); it != live.end();) {
     LiveJob& lj = *it;
     bool park = false;
@@ -556,8 +473,8 @@ const Plan& MrcpRm::reschedule(Time now) {
   dirty_ = false;
   park_retry_at_ = kNoTime;
 
-  std::vector<LiveJob> live = collect_live_jobs(
-      now, /*freeze_planned=*/false, incremental ? &dirty_jobs_ : nullptr);
+  std::vector<LiveJob> live =
+      collect_live_jobs(now, incremental ? &dirty_jobs_ : nullptr);
   park_unplaceable(live, now);
   rec.parked_jobs = parked_.size();
   if (incremental) {
@@ -579,10 +496,7 @@ const Plan& MrcpRm::reschedule(Time now) {
     // formulation when any task requires more than one slot.
     bool unit_demands = true;
     bool links_active = false;
-    bool cluster_constrains_links = false;
-    for (const Resource& r : cluster_.resources()) {
-      cluster_constrains_links |= r.net_capacity > 0;
-    }
+    const bool cluster_constrains_links = cluster_.links_constrained();
     bool placement_active = false;
     std::size_t live_tasks = 0;
     for (const LiveJob& lj : live) {
@@ -612,13 +526,11 @@ const Plan& MrcpRm::reschedule(Time now) {
         !placement_active && cluster_.uniform_speed_permille() > 0 &&
         config_.replan_scope == ReplanScope::kAllUnstarted;
 
+    // After park_unplaceable() every free task has a capable host, so a
+    // model failing cp::solve()'s entry check is an internal invariant
+    // violation, not a runtime condition — it stays fatal.
     const BuiltModel built = combined ? build_combined_model(cluster_, live)
                                       : build_direct_model(cluster_, live);
-    // After park_unplaceable() every free task has a capable host, so a
-    // validation failure here is an internal invariant violation, not a
-    // runtime condition — it stays fatal.
-    const std::string model_err = built.model.validate();
-    MRCP_CHECK_MSG(model_err.empty(), model_err.c_str());
 
     cp::SolveParams params = config_.solve;
     // Vary the LNS seed across invocations, deterministically.
@@ -654,76 +566,68 @@ const Plan& MrcpRm::reschedule(Time now) {
 
     cp::Solution chosen;
     const BuiltModel* solved = &built;
-    BuiltModel shrunk_built;  // owns the frozen model when a retry rung wins
+    BuiltModel frozen_built;  // the retry rungs' model
 
     if (result.best.valid) {
       outcome = InvocationOutcome::kCpPrimary;
       chosen = std::move(result.best);
     } else {
       // Escalation ladder (docs/degraded_mode.md): the hard watchdog cut
-      // every descent short. Shrink the model by freezing all planned
-      // assignments in place (LNS-style neighbourhood fixing), double
-      // the soft budget per rung, seed each rung with the EDF fallback's
-      // schedule for that model, and finally publish the fallback plan
-      // outright.
+      // every descent short. The retry rungs share one frozen model —
+      // jobs outside the dirty set pinned whole, the kDirtyOnly boundary
+      // — built and EDF-seeded once; each rung doubles the soft budget.
+      // The combined-resource abstraction is unsound with frozen
+      // fragments (see the `combined` comment above), so it is always
+      // the direct model.
       MRCP_CHECK_MSG(config_.fallback_enabled, "solver returned no solution");
-      cp::Solution parachute;  // EDF seed returned by an aborted retry
-      BuiltModel parachute_built;
-      for (int retry = 1;
-           retry <= config_.max_solve_retries && !invocation_deadline.expired();
-           ++retry) {
-        // The combined-resource abstraction is unsound with frozen
-        // fragments (see the `combined` comment above), so retries always
-        // solve the direct model.
-        std::vector<LiveJob> frozen = collect_live_jobs(now, true);
+      cp::Solution seed;
+      if (config_.max_solve_retries > 0 && !invocation_deadline.expired()) {
+        // Parked jobs count as dirty: their unstarted tasks hold no
+        // assignment to freeze, and strip_parked() drops them anyway.
+        std::set<JobId> retry_dirty = dirty_jobs_;
+        retry_dirty.insert(parked_.begin(), parked_.end());
+        std::vector<LiveJob> frozen = collect_live_jobs(now, &retry_dirty);
         strip_parked(frozen);
-        if (frozen.empty()) break;
-        BuiltModel shrunk = build_direct_model(cluster_, frozen);
-        const std::string frozen_err = shrunk.model.validate();
-        MRCP_CHECK_MSG(frozen_err.empty(), frozen_err.c_str());
+        frozen_built = build_direct_model(cluster_, frozen);
+        seed = fallback_schedule(frozen_built.model);
+        for (int retry = 1; retry <= config_.max_solve_retries &&
+                            !invocation_deadline.expired();
+             ++retry) {
+          cp::SolveParams retry_params = params;
+          // ldexp, not (1 << retry): a configured max_solve_retries >= 31
+          // would make the int shift UB. The exponent is additionally
+          // capped — doublings beyond 2^40 are already far past any
+          // invocation watchdog, so the budget simply saturates there.
+          retry_params.time_limit_s =
+              std::ldexp(config_.solve.time_limit_s, std::min(retry, 40));
+          retry_params.improvement_fails = 0;  // descent-only: cheapest
+          retry_params.lns_iterations = 0;     // complete schedule wins
+          Deadline retry_deadline(
+              std::min(invocation_deadline.remaining_seconds(),
+                       retry_params.time_limit_s * 64.0));
+          retry_params.hard_deadline = &retry_deadline;
 
-        cp::SolveParams retry_params = params;
-        // ldexp, not (1 << retry): a configured max_solve_retries >= 31
-        // would make the int shift UB. The exponent is additionally
-        // capped — doublings beyond 2^40 are already far past any
-        // invocation watchdog, so the budget simply saturates there.
-        retry_params.time_limit_s =
-            std::ldexp(config_.solve.time_limit_s, std::min(retry, 40));
-        retry_params.improvement_fails = 0;  // descent-only: cheapest
-        retry_params.lns_iterations = 0;     // complete schedule wins
-        Deadline retry_deadline(
-            std::min(invocation_deadline.remaining_seconds(),
-                     retry_params.time_limit_s * 64.0));
-        retry_params.hard_deadline = &retry_deadline;
-
-        const cp::Solution seed = fallback_schedule(shrunk.model);
-        cp::SolveResult rr = cp::solve(shrunk.model, retry_params,
-                                       seed.valid ? &seed : nullptr);
-        account(rr);
-        if (rr.best.valid && rr.stats.solutions > 0) {
-          // The rung completed a descent of its own (at worst tying the
-          // EDF incumbent, never worse — warm starts only prune).
-          outcome = InvocationOutcome::kCpRetry;
-          chosen = std::move(rr.best);
-          shrunk_built = std::move(shrunk);
-          solved = &shrunk_built;
-          break;
-        }
-        if (rr.best.valid && !parachute.valid) {
-          // Aborted again: rr.best is exactly the EDF seed. Keep it as a
-          // minimal-churn fallback plan while the budget escalates.
-          parachute = std::move(rr.best);
-          parachute_built = std::move(shrunk);
+          cp::SolveResult rr = cp::solve(frozen_built.model, retry_params,
+                                         seed.valid ? &seed : nullptr);
+          account(rr);
+          if (rr.best.valid && rr.stats.solutions > 0) {
+            // The rung completed a descent of its own (at worst tying the
+            // EDF incumbent, never worse — warm starts only prune).
+            outcome = InvocationOutcome::kCpRetry;
+            chosen = std::move(rr.best);
+            solved = &frozen_built;
+            break;
+          }
         }
       }
       if (!chosen.valid) {
         outcome = InvocationOutcome::kFallback;
         ++stats_.fallback_plans;
-        if (parachute.valid) {
-          // Frozen-model EDF plan: respects every previous placement.
-          chosen = std::move(parachute);
-          shrunk_built = std::move(parachute_built);
-          solved = &shrunk_built;
+        if (rec.attempts > 1 && seed.valid) {
+          // A rung ran and echoed its seed: the frozen-model EDF plan,
+          // which keeps every clean job where it was planned.
+          chosen = std::move(seed);
+          solved = &frozen_built;
         } else {
           // Full-model EDF plan — deterministic, never times out.
           chosen = fallback_schedule(built.model);

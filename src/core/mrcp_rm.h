@@ -53,8 +53,8 @@ enum class ReplanScope {
   /// set of jobs touched since the last solve — arrivals, deferral and
   /// backpressure releases, fault-reset assignments, parked work — and
   /// re-solves only those against a frozen boundary of untouched
-  /// assignments (the frozen-model machinery of the degradation ladder
-  /// promoted to the primary path). Each invocation builds a fresh direct
+  /// assignments (the same per-job freeze the degraded-mode retry rungs
+  /// use in either scope). Each invocation builds a fresh direct
   /// model in which only the dirty jobs' tasks are free, so the search
   /// cost tracks the dirty set, not the live set (bench/epoch_scaling.cpp).
   kDirtyOnly,
@@ -84,14 +84,15 @@ struct MrcpConfig {
   // ---- Graceful degradation (docs/degraded_mode.md) ----
 
   /// When the CP solve returns no schedule (hard watchdog expired before
-  /// any descent completed), escalate: shrink+backoff retries, then the
+  /// any descent completed), escalate: frozen-model backoff retries, then the
   /// deterministic EDF fallback scheduler. Off restores the fatal
   /// pre-degradation behaviour (abort on an empty solve) — tests only.
   bool fallback_enabled = true;
-  /// Shrunk-model retries before falling back: each freezes every
-  /// planned assignment in place (LNS-style neighbourhood fixing),
-  /// doubles the soft budget, and is seeded with the EDF fallback's
-  /// incumbent. 0 = straight to the fallback.
+  /// Retry rungs before falling back. They share one frozen model, built
+  /// once per invocation: jobs outside the dirty set (and not parked)
+  /// are pinned whole where they were planned, dirty jobs are re-solved
+  /// whole. It is seeded with its own EDF schedule, and each rung
+  /// doubles the soft budget. 0 = straight to the fallback.
   int max_solve_retries = 2;
   /// Absolute wall-clock watchdog for a whole reschedule() invocation,
   /// shared by every attempt. 0 = auto: 256x solve.time_limit_s — far
@@ -240,17 +241,16 @@ class MrcpRm {
 
   void release_deferred(Time now);
   void sweep_completed(Time now);
-  /// Live jobs for the CP model. `freeze_planned` additionally pins
-  /// planned-but-unstarted assignments (the shrunk model of degraded-mode
-  /// retries), demoting any whose predecessor is free. With `dirty` non-null
-  /// (incremental mode) freezing is per job: jobs absent from `dirty`
-  /// form the frozen boundary, dirty jobs are re-solved from free. A
-  /// clean job that cannot be frozen soundly — an unstarted task with no
-  /// assignment, or one stranded on a down resource — is promoted into
-  /// `dirty` (and counted in stats_.dirty_promotions: the promotion is a
-  /// safety net, correct bookkeeping never needs it).
-  std::vector<LiveJob> collect_live_jobs(Time now, bool freeze_planned,
-                                         std::set<JobId>* dirty = nullptr);
+  /// Live jobs for the CP model. With `dirty` null every unstarted task
+  /// is free (paper Table 2). Otherwise — incremental invocations and the
+  /// degraded-mode retry rungs — freezing is per job: jobs absent from
+  /// `dirty` form the frozen boundary, pinned where they were planned,
+  /// and dirty jobs are re-solved from free. A clean job that cannot be
+  /// frozen soundly — an unstarted task with no assignment, or one
+  /// stranded on a down resource — is promoted into `dirty` (and counted
+  /// in stats_.dirty_promotions: the promotion is a safety net, correct
+  /// bookkeeping never needs it).
+  std::vector<LiveJob> collect_live_jobs(Time now, std::set<JobId>* dirty);
   /// Park jobs with a free task no *current* (post-failure) resource can
   /// host: their unstarted assignments are released and only their
   /// started tasks stay in `live` (they occupy real capacity). A task
@@ -262,7 +262,7 @@ class MrcpRm {
   /// fatal, which is what the crash-injection harness leans on.
   void journal_append(const std::string& payload);
   /// Drop the unstarted tasks of already-parked jobs from a re-collected
-  /// live set (retry rungs re-collect; parking must not be re-decided
+  /// live set (the retry rungs re-collect; parking must not be re-decided
   /// mid-invocation).
   void strip_parked(std::vector<LiveJob>& live) const;
   void publish_plan(Time now);
@@ -294,8 +294,8 @@ class MrcpRm {
   /// Jobs touched since the last solve: arrivals, deferral/backpressure
   /// releases, assignments reset by failures, and (folded in at every
   /// invocation) parked jobs. Only these are re-solved in kDirtyOnly
-  /// mode; everything else is frozen boundary. Maintained in every
-  /// scope so switching modes mid-run stays consistent.
+  /// mode and by the retry rungs of either scope; everything else is
+  /// frozen boundary. Maintained in every scope.
   std::set<JobId> dirty_jobs_;
 
   /// Write-ahead journal; null (the default) disables all journaling.

@@ -18,10 +18,7 @@ std::string Plan::to_string() const {
 
 std::string validate_plan(const Plan& plan, const Cluster& cluster,
                           const std::vector<const Job*>& jobs_by_id) {
-  bool links_constrained = false;
-  for (const Resource& r : cluster.resources()) {
-    links_constrained = links_constrained || r.net_capacity > 0;
-  }
+  const bool links_constrained = cluster.links_constrained();
   // (resource, phase) -> time -> usage delta
   std::map<std::pair<ResourceId, int>, std::map<Time, int>> deltas;
   // Anti-affinity: (job, group, resource) -> first holder in the plan.

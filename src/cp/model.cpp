@@ -179,14 +179,17 @@ bool Model::links_constrained() const {
 std::string Model::validate() const {
   if (resources_.empty()) return "model has no resources";
   const bool links = links_constrained();
+  // The "task N: " prefix is built only on the failing path.
+  auto task_error = [](std::size_t ti, const char* what) {
+    return "task " + std::to_string(ti) + ": " + what;
+  };
   for (std::size_t ti = 0; ti < tasks_.size(); ++ti) {
     const CpTask& t = tasks_[ti];
-    const std::string where = "task " + std::to_string(ti) + ": ";
-    if (t.duration <= Time{0}) return where + "non-positive duration";
-    if (t.demand < 1) return where + "demand < 1";
+    if (t.duration <= Time{0}) return task_error(ti, "non-positive duration");
+    if (t.demand < 1) return task_error(ti, "demand < 1");
     for (CpResourceIndex r : t.candidates) {
       if (r < 0 || static_cast<std::size_t>(r) >= resources_.size()) {
-        return where + "candidate resource out of range";
+        return task_error(ti, "candidate resource out of range");
       }
     }
     // Demand must fit on at least one candidate resource's capacity
@@ -208,27 +211,30 @@ std::string Model::validate() const {
         fits = fits || check_fit(resources_[static_cast<std::size_t>(r)]);
       }
     }
-    if (!fits) return where + "demand exceeds every candidate's capacity";
+    if (!fits) {
+      return task_error(ti, "demand exceeds every candidate's capacity");
+    }
     if (t.pinned) {
       const auto& res = resources_[static_cast<std::size_t>(t.pinned_resource)];
       if (!check_fit(res)) {
-        return where + "pinned to resource without capacity";
+        return task_error(ti, "pinned to resource without capacity");
       }
       if (!t.candidates.empty() &&
           std::find(t.candidates.begin(), t.candidates.end(), t.pinned_resource) ==
               t.candidates.end()) {
-        return where + "pinned resource not among candidates";
+        return task_error(ti, "pinned resource not among candidates");
       }
     }
   }
   for (std::size_t ji = 0; ji < jobs_.size(); ++ji) {
     const CpJob& j = jobs_[ji];
-    const std::string where = "job " + std::to_string(ji) + ": ";
     // Note: deadline <= earliest_start is allowed — in the open system a
     // job's s_j is clamped to "now" on every RM invocation, so a job that
     // is already past its deadline while waiting is simply (statically)
     // late, not malformed.
-    if (j.map_tasks.empty() && j.reduce_tasks.empty()) return where + "no tasks";
+    if (j.map_tasks.empty() && j.reduce_tasks.empty()) {
+      return "job " + std::to_string(ji) + ": no tasks";
+    }
   }
 
   // Anti-affinity groups: each group needs as many pairwise-distinct

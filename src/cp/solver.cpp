@@ -99,7 +99,8 @@ const char* solve_status_name(SolveStatus status) {
 
 SolveResult solve(const Model& model, const SolveParams& params,
                   const Solution* warm_start, const SearchRoot* shared_root) {
-  MRCP_CHECK_MSG(model.validate().empty(), "invalid model passed to solve()");
+  const std::string model_error = model.validate();
+  MRCP_CHECK_MSG(model_error.empty(), model_error.c_str());
   Stopwatch timer;
   SolveResult result;
   SolveStats& stats = result.stats;

@@ -86,6 +86,13 @@ std::vector<int> Cluster::rack_ids() const {
   return racks;
 }
 
+bool Cluster::links_constrained() const {
+  for (const Resource& r : resources_) {
+    if (r.net_capacity > 0) return true;
+  }
+  return false;
+}
+
 bool Cluster::has_rack(int rack) const {
   for (const Resource& r : resources_) {
     if (r.rack == rack) return true;

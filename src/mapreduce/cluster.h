@@ -81,6 +81,11 @@ class Cluster {
   /// or -1 for a mixed-speed cluster.
   int uniform_speed_permille() const;
 
+  /// True when some resource has net_capacity > 0: link demands then
+  /// bind, and a resource with zero link capacity cannot host a
+  /// net-demanding task.
+  bool links_constrained() const;
+
   /// Distinct rack ids present in the cluster, sorted ascending.
   std::vector<int> rack_ids() const;
 

@@ -37,18 +37,7 @@ std::vector<JobRecord> make_records(const Workload& workload) {
 
 }  // namespace internal
 
-namespace {
-
 using internal::make_records;
-
-bool cluster_constrains_links(const Cluster& cluster) {
-  for (const Resource& r : cluster.resources()) {
-    if (r.net_capacity > 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 std::string validate_execution(const Workload& workload,
                                const std::vector<ExecutedTask>& executed,
@@ -70,7 +59,7 @@ std::string validate_execution(const Workload& workload,
   // When any resource constrains its links, a net-demanding task *must*
   // be swept against its resource's link capacity — a zero-capacity
   // resource then has no room for it (rather than silently skipping).
-  const bool links_constrained = cluster_constrains_links(workload.cluster);
+  const bool links_constrained = workload.cluster.links_constrained();
   // Flat arrays rather than node-based maps: the validator walks every
   // executed task of a run, and its cost should not hinge on how warm
   // the cache is for hundreds of thousands of tree nodes.

@@ -1,8 +1,8 @@
 // End-to-end tests of the graceful-degradation pipeline
 // (docs/degraded_mode.md): the solver watchdog and SolveStatus, the
 // escalation ladder and its ledger attribution, unplaceable-job parking,
-// arrival backpressure, and the frozen-assignment demotion that keeps
-// failure recovery sound in degraded epochs.
+// arrival backpressure, and the per-job freeze that keeps failure
+// recovery sound in degraded epochs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -255,30 +255,45 @@ TEST(DegradedMode, AllResourcesDownParksAndRecovers) {
   EXPECT_EQ(rm.stats().jobs_completed, 1u);
 }
 
-// ---- Frozen assignments must not outlive their predecessors ----
+// ---- The retry rungs freeze per job ----
 
 TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
-  // r0 is map-only, so the reduce always lands on r1 and survives the
-  // r0 failure with its (now stale) planned start. The retry rungs'
-  // frozen re-collection must demote it back to free rather than pin a
-  // reduce that would start before the killed map's re-run completes.
+  // r0 is map-only, so job 0's reduce always lands on r1 and survives the
+  // r0 failure with its (now stale) planned start. The r0 failure dirties
+  // job 0, so the retry rung re-solves it whole: its reduce must wait for
+  // the killed map's re-run instead of staying pinned at the stale start.
+  // Job 1 loses nothing to the failure, so the rung keeps it frozen where
+  // it was planned.
   Cluster c;
   c.add_resource(1, 0);
   c.add_resource(1, 1);
+  c.add_resource(1, 1);
   // A nanosecond soft budget aborts every primary solve, while the
-  // invocation watchdog leaves room for the retry rung, which re-collects
-  // the live set with every planned assignment frozen.
+  // invocation watchdog leaves room for the retry rung.
   MrcpConfig cfg = degraded_config();
   cfg.solver_deadline_s = 10.0;
   cfg.max_solve_retries = 1;
   MrcpRm rm(c, cfg);
 
   // Deadline forces the two maps in parallel across r0/r1.
-  rm.submit(make_job(0, Time{0}, Time{0}, Time{160}, {Time{100}, Time{100}}, {Time{50}}), Time{0});
-  const Plan& p1 = rm.reschedule(Time{0});
+  Job job0 = make_job(0, Time{0}, Time{0}, Time{160}, {Time{100}, Time{100}},
+                      {Time{50}});
+  for (Task& t : job0.map_tasks) t.candidates = {0, 1};
+  for (Task& t : job0.reduce_tasks) t.candidates = {1};
+  // Job 1's first map runs on r2 and its second waits on r1 behind job
+  // 0's map; its reduce follows on r2. Re-solved from free after the
+  // failure, the second map would move to r2, so an unchanged plan shows
+  // the job was frozen.
+  Job job1 = make_job(1, Time{0}, Time{0}, Time{5'000}, {Time{100}, Time{100}},
+                      {Time{50}});
+  for (Task& t : job1.map_tasks) t.candidates = {1, 2};
+  for (Task& t : job1.reduce_tasks) t.candidates = {2};
+  rm.submit(job0, Time{0});
+  rm.submit(job1, Time{0});
+  const Plan p1 = rm.reschedule(Time{0});
   bool map_on_r0 = false;
   for (const PlannedTask& pt : p1.tasks) {
-    map_on_r0 |= pt.type == TaskType::kMap && pt.resource == 0;
+    map_on_r0 |= pt.job == 0 && pt.type == TaskType::kMap && pt.resource == 0;
   }
   ASSERT_TRUE(map_on_r0);
 
@@ -287,14 +302,26 @@ TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
   ASSERT_EQ(rm.ledger().records().back().attempts, 2) << "no retry rung ran";
   Time latest_map_end;
   const PlannedTask* reduce = nullptr;
+  std::size_t job1_tasks = 0;
   for (const PlannedTask& pt : p2.tasks) {
     EXPECT_NE(pt.resource, 0);  // nothing resurrects onto the down node
-    if (pt.type == TaskType::kMap) {
+    if (pt.job == 1) {
+      // The untouched job is republished exactly as planned.
+      ++job1_tasks;
+      const auto before =
+          std::find_if(p1.tasks.begin(), p1.tasks.end(), [&](const auto& q) {
+            return q.job == 1 && q.task_index == pt.task_index;
+          });
+      ASSERT_NE(before, p1.tasks.end());
+      EXPECT_EQ(pt.resource, before->resource) << "task " << pt.task_index;
+      EXPECT_EQ(pt.start, before->start) << "task " << pt.task_index;
+    } else if (pt.type == TaskType::kMap) {
       latest_map_end = std::max(latest_map_end, pt.end);
     } else {
       reduce = &pt;
     }
   }
+  EXPECT_EQ(job1_tasks, 3u);
   ASSERT_NE(reduce, nullptr);
   // Killed map re-runs after r1's own map: reduce starts at 200, not at
   // its stale planned 100.
@@ -302,12 +329,54 @@ TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
   EXPECT_GE(reduce->start, Time{200});
 }
 
+TEST(DegradedMode, RetryRungsCountParkedJobsAsDirty) {
+  // Job 0's map needs two slots, which only r0 has. The r0 failure parks
+  // it, and at the next invocation — nothing dirty, job 0 still parked —
+  // the retry rung's frozen model must treat the parked job as dirty
+  // (its unstarted tasks hold no assignment) instead of tripping the
+  // promotion safety net, while job 1 stays frozen where it was planned.
+  Cluster c;
+  c.add_resource(2, 1);
+  c.add_resource(1, 1);
+  MrcpConfig cfg = degraded_config();
+  cfg.solver_deadline_s = 10.0;
+  cfg.max_solve_retries = 1;
+  MrcpRm rm(c, cfg);
+  Job job0 = make_job(0, Time{0}, Time{0}, Time{50'000}, {Time{100}},
+                      {Time{50}});
+  job0.map_tasks[0].res_req = 2;
+  rm.submit(job0, Time{0});
+  rm.submit(make_job(1, Time{0}, Time{0}, Time{50'000}, {Time{1'000}},
+                     {Time{50}}),
+            Time{0});
+  rm.reschedule(Time{0});
+
+  rm.handle_resource_down(0, Time{50});
+  const Plan p50 = rm.reschedule(Time{50});
+  ASSERT_EQ(rm.ledger().records().back().parked_jobs, 1u);
+  const Plan& p60 = rm.reschedule(Time{60});
+  ASSERT_EQ(rm.ledger().records().back().parked_jobs, 1u);
+  ASSERT_EQ(rm.ledger().records().back().attempts, 2) << "no retry rung ran";
+  EXPECT_EQ(rm.stats().dirty_promotions, 0u);
+  ASSERT_EQ(p60.tasks.size(), p50.tasks.size());
+  for (std::size_t i = 0; i < p60.tasks.size(); ++i) {
+    EXPECT_EQ(p60.tasks[i].job, 1);
+    EXPECT_EQ(p60.tasks[i].resource, p50.tasks[i].resource);
+    EXPECT_EQ(p60.tasks[i].start, p50.tasks[i].start);
+  }
+
+  rm.handle_resource_up(0, Time{200});
+  rm.reschedule(Time{200});
+  rm.reschedule(Time{1'000'000});
+  EXPECT_EQ(rm.stats().jobs_completed, 2u);
+}
+
 TEST(DegradedMode, MidEpochFailureDuringFallbackEpochStaysValid) {
   // Fallback-produced plan (tiny budget), then a failure mid-epoch: the
-  // recovery pass — retry rungs included, which freeze surviving
-  // assignments — must never resurrect assignments of the down resource
-  // or schedule a reduce before its maps. validate_plans makes any such
-  // violation fatal, so completing the run is the assertion.
+  // recovery pass — retry rungs included, which freeze the jobs the
+  // failure did not touch — must never resurrect assignments of the down
+  // resource or schedule a reduce before its maps. validate_plans makes
+  // any such violation fatal, so completing the run is the assertion.
   MrcpConfig cfg = degraded_config();
   MrcpRm rm(Cluster::homogeneous(2, 1, 1), cfg);
   std::vector<Time> maps(6, Time{100});

@@ -115,8 +115,8 @@ TEST(Incremental, FaultDirtiesAffectedJobsAndReplansThemSoundly) {
   // r0 is map-only, so job 0's reduce lands on r1 and survives the r0
   // failure with a stale planned start. In kDirtyOnly mode the fault
   // dirties the whole job, so the reduce is re-solved — it must wait for
-  // the killed map's re-run (per-job freezing does here what the demotion
-  // fixpoint does for the retry rungs' whole-model freeze).
+  // the killed map's re-run (the same per-job freeze serves the
+  // degraded-mode retry rungs in either scope).
   Cluster c;
   c.add_resource(1, 0);
   c.add_resource(1, 1);
@@ -282,62 +282,87 @@ TEST(Incremental, RandomEventStreamsCompleteSoundlyOver500Seeds) {
 
 // ---- Fault storm: dirty-set invariants ----
 
+/// Default scope under a nanosecond soft budget: every primary solve
+/// aborts, the invocation watchdog leaves room for the retry rungs, and
+/// their frozen model is built from the dirty set.
+MrcpConfig retry_ladder_config() {
+  MrcpConfig cfg;
+  cfg.validate_plans = true;
+  cfg.solve.time_limit_s = 1e-9;
+  cfg.solve.seed = 1;
+  cfg.solver_deadline_s = 10.0;
+  cfg.max_solve_retries = 2;
+  return cfg;
+}
+
 TEST(Incremental, FaultStormNeverTripsTheDirtyPromotionSafetyNet) {
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    RandomStream rng(seed, 11);
-    const int m = 3;
-    MrcpRm rm(Cluster::homogeneous(m, 2, 2), incremental_config());
-    Time t;
-    JobId next_id = 0;
-    std::vector<bool> down(static_cast<std::size_t>(m), false);
-    rm.submit(random_job(rng, next_id++, t), t);
-    rm.reschedule(t);
-    for (int step = 0; step < 12; ++step) {
-      t += Time{rng.uniform_int(1, 300)};
-      const std::int64_t roll = rng.uniform_int(0, 9);
-      if (roll < 2 && next_id < 8) {
-        rm.submit(random_job(rng, next_id++, t), t);
-      } else if (roll < 6) {
-        std::vector<ResourceId> up;
-        for (int r = 0; r < m; ++r) {
-          if (!down[static_cast<std::size_t>(r)]) {
-            up.push_back(static_cast<ResourceId>(r));
+  for (const MrcpConfig& cfg : {incremental_config(), retry_ladder_config()}) {
+    const bool ladder = cfg.replan_scope == ReplanScope::kAllUnstarted;
+    SCOPED_TRACE(ladder ? "retry ladder" : "incremental");
+    std::uint64_t retry_invocations = 0;
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      RandomStream rng(seed, 11);
+      const int m = 3;
+      MrcpRm rm(Cluster::homogeneous(m, 2, 2), cfg);
+      Time t;
+      JobId next_id = 0;
+      std::vector<bool> down(static_cast<std::size_t>(m), false);
+      rm.submit(random_job(rng, next_id++, t), t);
+      rm.reschedule(t);
+      for (int step = 0; step < 12; ++step) {
+        t += Time{rng.uniform_int(1, 300)};
+        const std::int64_t roll = rng.uniform_int(0, 9);
+        if (roll < 2 && next_id < 8) {
+          rm.submit(random_job(rng, next_id++, t), t);
+        } else if (roll < 6) {
+          std::vector<ResourceId> up;
+          for (int r = 0; r < m; ++r) {
+            if (!down[static_cast<std::size_t>(r)]) {
+              up.push_back(static_cast<ResourceId>(r));
+            }
+          }
+          if (!up.empty()) {
+            const ResourceId r = up[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(up.size()) - 1))];
+            down[static_cast<std::size_t>(r)] = true;
+            rm.handle_resource_down(r, t);
+          }
+        } else if (roll < 9) {
+          std::vector<ResourceId> downed;
+          for (int r = 0; r < m; ++r) {
+            if (down[static_cast<std::size_t>(r)]) {
+              downed.push_back(static_cast<ResourceId>(r));
+            }
+          }
+          if (!downed.empty()) {
+            const ResourceId r =
+                downed[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(downed.size()) - 1))];
+            down[static_cast<std::size_t>(r)] = false;
+            rm.handle_resource_up(r, t);
           }
         }
-        if (!up.empty()) {
-          const ResourceId r = up[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(up.size()) - 1))];
-          down[static_cast<std::size_t>(r)] = true;
-          rm.handle_resource_down(r, t);
-        }
-      } else if (roll < 9) {
-        std::vector<ResourceId> downed;
-        for (int r = 0; r < m; ++r) {
-          if (down[static_cast<std::size_t>(r)]) {
-            downed.push_back(static_cast<ResourceId>(r));
-          }
-        }
-        if (!downed.empty()) {
-          const ResourceId r = downed[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(downed.size()) - 1))];
-          down[static_cast<std::size_t>(r)] = false;
-          rm.handle_resource_up(r, t);
+        rm.reschedule(t);  // validate_plans re-checks every published plan
+      }
+      for (int r = 0; r < m; ++r) {
+        if (down[static_cast<std::size_t>(r)]) {
+          rm.handle_resource_up(static_cast<ResourceId>(r), t);
         }
       }
-      rm.reschedule(t);  // validate_plans re-checks every published plan
-    }
-    for (int r = 0; r < m; ++r) {
-      if (down[static_cast<std::size_t>(r)]) {
-        rm.handle_resource_up(static_cast<ResourceId>(r), t);
+      rm.reschedule(t);
+      rm.reschedule(t + Time{10'000'000});
+      rm.reschedule(t + Time{20'000'000});
+      ASSERT_EQ(rm.stats().jobs_completed, rm.stats().jobs_submitted)
+          << "seed " << seed;
+      ASSERT_EQ(rm.stats().dirty_promotions, 0u) << "seed " << seed;
+      ASSERT_EQ(rm.ledger().counts().invocations(), rm.stats().invocations);
+      for (const InvocationRecord& rec : rm.ledger().records()) {
+        retry_invocations += rec.attempts > 1 ? 1 : 0;
       }
     }
-    rm.reschedule(t);
-    rm.reschedule(t + Time{10'000'000});
-    rm.reschedule(t + Time{20'000'000});
-    ASSERT_EQ(rm.stats().jobs_completed, rm.stats().jobs_submitted)
-        << "seed " << seed;
-    ASSERT_EQ(rm.stats().dirty_promotions, 0u) << "seed " << seed;
-    ASSERT_EQ(rm.ledger().counts().invocations(), rm.stats().invocations);
+    if (ladder) {
+      EXPECT_GT(retry_invocations, 0u) << "no retry rung ran";
+    }
   }
 }
 

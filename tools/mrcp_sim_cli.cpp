@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
       .add_bool("fallback", true,
                 "mrcp: EDF fallback when CP yields nothing (=false disables)")
       .add_int("max-solve-retries", 2,
-               "mrcp: shrink/backoff retries before the fallback")
+               "mrcp: frozen-model retry rungs before the fallback")
       .add_double("solver-deadline", 0.0,
                   "mrcp: wall-clock watchdog per invocation (s, 0 = auto)")
       .add_bool("degrade-backpressure", true,
